@@ -2,7 +2,9 @@
 // interning + score-engine refactors target — classification (msgs/sec)
 // through the legacy string-set path, the interned id path and the
 // generation-cached ScoreEngine (single-message and zero-alloc batch),
-// train/untrain round trips (ops/sec) and tokenization (MB/s).
+// train/untrain round trips (ops/sec) and tokenization (MB/s) — plus the
+// serving layer's per-user overlay: copy-on-write train (ops/sec) and
+// base + overlay scoring (msgs/sec).
 //
 // Unlike bench_micro (google-benchmark, optional dependency), this binary
 // always builds and emits JSON for the tracked BENCH_baseline.json
@@ -14,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,6 +24,7 @@
 #include "email/rfc2822.h"
 #include "spambayes/filter.h"
 #include "spambayes/score_engine.h"
+#include "spambayes/sparse_token_db.h"
 #include "util/random.h"
 
 namespace {
@@ -170,9 +174,40 @@ int main(int argc, char** argv) {
                   }) *
       msg_mb;
 
-  // "metrics" is what tools/check_bench.py gates; the speedup ratios are
-  // informational only (a future improvement to the legacy string path
-  // would legitimately shrink them).
+  // --- serving overlay: one user's copy-on-write feedback ---------------
+  // Measured last, after ~1M filler ids are interned, so the ids this
+  // user's feedback brings lie past them — where an overlay indexed by
+  // global id would copy ~1M entries per train. The user holds 110 trains
+  // (a feedback_durable user's share); a train copies the published
+  // overlay and trains the copy, as serve::UserModel::prepare does.
+  for (int i = 0; i < 1'000'000; ++i) {
+    spambayes::global_interner().intern("filler-" + std::to_string(i));
+  }
+  util::Rng overlay_rng(5);
+  spambayes::SparseTokenDatabase overlay;
+  for (int i = 0; i < 110; ++i) {
+    overlay.train_spam_ids(spambayes::unique_token_ids(tok.tokenize_ids(
+        i % 2 == 0 ? gen.generate_spam(overlay_rng)
+                   : gen.generate_ham(overlay_rng))));
+  }
+  const spambayes::TokenIdSet feedback_ids = spambayes::unique_token_ids(
+      tok.tokenize_ids(gen.generate_spam(overlay_rng)));
+  const double overlay_cow_train = ops_per_sec(min_seconds, [&] {
+    auto next = std::make_shared<spambayes::SparseTokenDatabase>(overlay);
+    next->train_spam_ids(feedback_ids);
+    g_sink = next->spam_count();
+  });
+  const spambayes::TokenIdSet overlay_probe = spambayes::unique_token_ids(
+      tok.tokenize_ids(gen.generate_ham(overlay_rng)));
+  const double overlay_score = ops_per_sec(min_seconds, [&] {
+    g_sink = filter.classifier()
+                 .score_ids(filter.database(), overlay, overlay_probe)
+                 .score;
+  });
+
+  // tools/check_bench.py gates the "metrics" that BENCH_baseline.json
+  // lists; the speedup ratios are informational only (a future improvement
+  // to the legacy string path would legitimately shrink them).
   const std::vector<Metric> metrics = {
       {"classify_string_msgs_per_sec", classify_string},
       {"classify_interned_msgs_per_sec", classify_interned},
@@ -182,6 +217,8 @@ int main(int argc, char** argv) {
       {"train_untrain_interned_ops_per_sec", train_interned},
       {"tokenize_to_set_string_mb_per_sec", tokenize_string},
       {"tokenize_to_ids_mb_per_sec", tokenize_ids},
+      {"overlay_cow_train_ops_per_sec", overlay_cow_train},
+      {"overlay_score_msgs_per_sec", overlay_score},
   };
   const std::vector<Metric> info = {
       {"classify_interned_speedup", classify_interned / classify_string},

@@ -48,7 +48,9 @@ ServeFrontend::ServeFrontend(spambayes::Filter base, FrontendConfig config,
     // A hash-unlucky shard may own zero users; give it one slot so the
     // shard array stays dense and addressable.
     const std::size_t owned = next_local[s] > 0 ? next_local[s] : 1;
-    shards_.push_back(std::make_unique<ModelShard>(owned));
+    shards_.push_back(std::make_unique<ModelShard>(
+        owned, BaseTotals{base_.database().spam_count(),
+                          base_.database().ham_count()}));
     shards_.back()->configure_dedup(config.dedup_window);
     if (durability_ != nullptr) {
       shards_.back()->attach_durability(durability_.get(), s);
@@ -63,6 +65,11 @@ ServeFrontend::~ServeFrontend() = default;
 
 ServeFrontend::RouteEntry ServeFrontend::route(std::uint64_t user_id) const {
   return route_checked(user_id);
+}
+
+OverlaySnapshot ServeFrontend::overlay(std::uint64_t user_id) const {
+  const RouteEntry& at = route_checked(user_id);
+  return shards_[at.shard]->overlay(at.local);
 }
 
 const ServeFrontend::RouteEntry& ServeFrontend::route_checked(

@@ -15,9 +15,17 @@
 //  * a user whose overlay was trained on messages M classifies
 //    bit-identically to a standalone Filter copy trained on M — merged
 //    counts are exact uint32 sums, so Classifier::score_ids(base, overlay)
-//    sees the same doubles as a merged database would;
+//    sees the same doubles as a merged database would. A Train whose
+//    `copies` would carry base + overlay past UINT32_MAX is rejected
+//    before it is logged, so those sums never wrap;
 //  * one classify batch reads one overlay snapshot: mutations that land
 //    mid-batch affect later requests, never a half-scored batch.
+//
+// Cost: a user's overlay is a sparse table of the tokens that user
+// trained (spambayes::SparseTokenDatabase), so per-user memory and the
+// copy-on-write cost of each Train/Untrain are O(that user's feedback).
+// Neither grows with the shared interner, which every user's classify
+// traffic keeps growing.
 //
 // Durability (PR 7): constructed with a Durability, every Train/Untrain is
 // WAL-logged before it publishes, and recover() (recovery.h) rebuilds the
@@ -142,6 +150,10 @@ class ServeFrontend {
     std::uint32_t local = 0;
   };
   RouteEntry route(std::uint64_t user_id) const;
+
+  /// A user's published overlay (lock-free; null = empty). Throws
+  /// InvalidArgument for an unknown user.
+  OverlaySnapshot overlay(std::uint64_t user_id) const;
 
   // --- Durability / recovery wiring ---------------------------------------
 

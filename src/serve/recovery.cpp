@@ -117,9 +117,9 @@ void append_user_states(std::ostream& out,
           << "\n";
     }
     if (u.overlay != nullptr) {
-      // TokenDatabase::load reads to end-of-stream, so the embedded block
-      // needs an explicit byte count to know where this user's database
-      // ends and the next header line begins.
+      // SparseTokenDatabase::load reads to end-of-stream, so the embedded
+      // block needs an explicit byte count to know where this user's
+      // database ends and the next header line begins.
       std::ostringstream db;
       u.overlay->save(db);
       const std::string bytes = db.str();
@@ -178,8 +178,8 @@ std::vector<UserSnapshotState> parse_user_states(std::istream& in,
         throw ParseError(what + ": database block not newline-terminated");
       }
       std::istringstream db(bytes);
-      u.overlay = std::make_shared<spambayes::TokenDatabase>(
-          spambayes::TokenDatabase::load(db));
+      u.overlay = std::make_shared<spambayes::SparseTokenDatabase>(
+          spambayes::SparseTokenDatabase::load(db));
     }
     users.push_back(std::move(u));
   }

@@ -19,8 +19,9 @@
 //
 // Recovery invariant (the tentpole's correctness bar): overlay contents
 // after `recover()` are bit-identical to an uninterrupted process that
-// applied the same mutations — snapshots embed exact TokenDatabase::save()
-// bytes, and WAL replay re-tokenizes the logged raw message text through
+// applied the same mutations — snapshots embed exact SBXDB 1 save() bytes
+// (the overlay's SparseTokenDatabase writes TokenDatabase's format byte for
+// byte), and WAL replay re-tokenizes the logged raw message text through
 // the identical pipeline the live request took. (Overlay *generation*
 // stamps are process-local and differ across restarts by design; nothing
 // durable depends on them.)

@@ -11,8 +11,9 @@
 
 namespace sbx::serve {
 
-ModelShard::ModelShard(std::size_t user_count)
+ModelShard::ModelShard(std::size_t user_count, BaseTotals base)
     : user_count_(user_count),
+      base_(base),
       users_(std::make_unique<UserModel[]>(user_count)) {
   if (user_count == 0) {
     throw InvalidArgument("ModelShard: user_count must be greater than 0");
@@ -106,10 +107,12 @@ MutationResult ModelShard::apply_mutation(std::size_t local,
     return replayed;
   }
 
-  // Prepare first: a mutation that cannot apply (bad untrain) must fail
-  // before anything reaches the log.
+  // Prepare first: a mutation that cannot apply (bad untrain, or a train
+  // that would wrap a uint32 class total) must fail before anything
+  // reaches the log.
   OverlaySnapshot next = model.prepare(ids, req.as_spam, req.copies,
-                                       req.op == kWalOpTrain, mutation_mutex_);
+                                       req.op == kWalOpTrain, base_,
+                                       mutation_mutex_);
 
   MutationResult result{0, 0, 0, false};
   if (durability_ != nullptr) {
@@ -152,7 +155,7 @@ ReplicatedApplyResult ModelShard::apply_replicated(
   if (record.seqno <= last_seqno_) return {};  // resend of an applied record
 
   OverlaySnapshot next = model.prepare(ids, record.as_spam, record.copies,
-                                       record.op == kWalOpTrain,
+                                       record.op == kWalOpTrain, base_,
                                        mutation_mutex_);
   ReplicatedApplyResult result;
   if (durability_ != nullptr) {
@@ -183,7 +186,8 @@ MutationResult ModelShard::replay_mutation(std::size_t local,
   UserModel& model = user(local);
   const util::MutexLock lock(mutation_mutex_);
   OverlaySnapshot next = model.prepare(ids, req.as_spam, req.copies,
-                                       req.op == kWalOpTrain, mutation_mutex_);
+                                       req.op == kWalOpTrain, base_,
+                                       mutation_mutex_);
   const MutationResult result{next->generation(), next->spam_count(),
                               next->ham_count(), false};
   model.publish(std::move(next), mutation_mutex_);
@@ -259,7 +263,7 @@ void ModelShard::apply_train(std::size_t local,
         "ModelShard: apply_train bypasses the WAL; use apply_mutation on a "
         "durable shard");
   }
-  model.train(ids, as_spam, copies, mutation_mutex_);
+  model.train(ids, as_spam, copies, base_, mutation_mutex_);
 }
 
 void ModelShard::apply_untrain(std::size_t local,

@@ -91,7 +91,10 @@ struct ReplicatedApplyResult {
 
 class ModelShard {
  public:
-  explicit ModelShard(std::size_t user_count);
+  /// `base` holds the shared base's class totals; every train is checked
+  /// against them so base + overlay sums stay inside uint32 (see
+  /// UserModel::prepare).
+  explicit ModelShard(std::size_t user_count, BaseTotals base = {});
 
   ModelShard(const ModelShard&) = delete;
   ModelShard& operator=(const ModelShard&) = delete;
@@ -128,9 +131,9 @@ class ModelShard {
 
   /// Applies one mutation under the shard mutation lock: dedup → prepare
   /// → WAL append → publish → remember → maybe checkpoint. Throws
-  /// InvalidArgument for a bad mutation (e.g. untrain of an untrained
-  /// message; nothing is logged or published) and IoError when the WAL
-  /// cannot be written (ditto).
+  /// InvalidArgument for a bad mutation (untrain of an untrained message,
+  /// or a train whose class total would pass UINT32_MAX; nothing is logged
+  /// or published) and IoError when the WAL cannot be written (ditto).
   MutationResult apply_mutation(std::size_t local, const MutationRequest& req,
                                 const spambayes::TokenIdSet& ids)
       SBX_EXCLUDES(mutation_mutex_);
@@ -197,6 +200,7 @@ class ModelShard {
   void maybe_snapshot() SBX_REQUIRES(mutation_mutex_);
 
   std::size_t user_count_;
+  const BaseTotals base_;
   // UserModel slots are internally safe for lock-free reads; their
   // mutation methods take mutation_mutex_ as a REQUIRES() capability
   // parameter, so the single-writer half of the contract is checked at

@@ -7,21 +7,27 @@
 // directly against the base through the generation-cached ScoreEngine, so
 // an idle fleet of a million users costs one database, one memo, zero
 // per-user bytes beyond the slot itself. The first train/untrain call
-// materializes a private delta database holding only that user's
+// materializes a private SparseTokenDatabase holding only that user's
 // feedback; classification merges it with the base on the fly
 // (Classifier's overlay-aware score_ids), which is bit-identical to a
 // standalone filter trained on base + overlay messages.
+//
+// Cost: an overlay is a flat hash table of the tokens this user trained,
+// so its memory and the copy each mutation makes are O(this user's
+// feedback) — independent of the process-global interner, which grows
+// with every user's classify traffic (random-word spam grows it fastest).
 //
 // Publication protocol (the lock-free read contract): mutations never
 // modify a published overlay. They copy it, mutate the copy, and publish
 // the copy with a release store into an atomic shared_ptr; readers
 // acquire-load a snapshot and score against it for as long as they like —
-// the snapshot is immutable and refcount-kept. TokenDatabase's
-// process-globally monotonic generation stamp (PR 4) then proves snapshot
-// consistency: a copy keeps the stamp, the first mutation of the copy
-// draws a strictly larger one, so successive published overlays carry
-// strictly increasing generations and `generation() == cached` still
-// proves bit-identical contents to any reader's cache.
+// the snapshot is immutable and refcount-kept. The overlay's generation
+// stamp, drawn from TokenDatabase's process-global monotonic counter,
+// then proves snapshot consistency: a copy keeps the stamp, the first
+// mutation of the copy draws a strictly larger one, so successive
+// published overlays carry strictly increasing generations and
+// `generation() == cached` still proves bit-identical contents to any
+// reader's cache.
 #pragma once
 
 #include <atomic>
@@ -29,14 +35,21 @@
 #include <memory>
 
 #include "spambayes/interner.h"
-#include "spambayes/token_db.h"
+#include "spambayes/sparse_token_db.h"
 #include "util/thread_annotations.h"
 
 namespace sbx::serve {
 
 /// An immutable published overlay state. Null = empty overlay (the user
 /// has no feedback of their own; classify against the base directly).
-using OverlaySnapshot = std::shared_ptr<const spambayes::TokenDatabase>;
+using OverlaySnapshot = std::shared_ptr<const spambayes::SparseTokenDatabase>;
+
+/// The shared base's class totals (NS, NH). Classify sums base and overlay
+/// counts in uint32, so a train is checked against them before it applies.
+struct BaseTotals {
+  std::uint32_t spam = 0;
+  std::uint32_t ham = 0;
+};
 
 /// One user's slot: the published overlay plus relaxed usage counters.
 /// Reads (snapshot, counters) are safe from any thread at any time;
@@ -62,9 +75,12 @@ class UserModel {
 
   /// Copy-on-write train: copies the current overlay (or starts an empty
   /// one), trains `copies` messages with token set `ids`, publishes the
-  /// copy (release). Caller holds `mu`, the shard mutation lock.
+  /// copy (release). Throws sbx::InvalidArgument, publishing nothing, when
+  /// base + overlay + `copies` would pass UINT32_MAX for that class. Caller
+  /// holds `mu`, the shard mutation lock.
   void train(const spambayes::TokenIdSet& ids, bool as_spam,
-             std::uint32_t copies, util::Mutex& mu) SBX_REQUIRES(mu);
+             std::uint32_t copies, const BaseTotals& base, util::Mutex& mu)
+      SBX_REQUIRES(mu);
 
   /// Copy-on-write untrain, exactly reversing a train with the same
   /// arguments. Throws sbx::InvalidArgument when the overlay does not
@@ -75,13 +91,16 @@ class UserModel {
                std::uint32_t copies, util::Mutex& mu) SBX_REQUIRES(mu);
 
   /// The prepare half of a mutation: builds (but does not publish) the
-  /// next overlay state. Splitting prepare from publish is what lets the
-  /// shard write-ahead-log the mutation in between — a prepare failure
-  /// (bad untrain) leaves both the log and the published overlay
-  /// untouched. Caller holds `mu`, the shard mutation lock.
+  /// next overlay state in O(this user's entries), whatever the size of
+  /// the global vocabulary. Splitting prepare from publish is what lets
+  /// the shard write-ahead-log the mutation in between — a prepare failure
+  /// (bad untrain, or a train whose class total would pass UINT32_MAX
+  /// once summed with `base`) leaves both the log and the published
+  /// overlay untouched. Caller holds `mu`, the shard mutation lock.
   OverlaySnapshot prepare(const spambayes::TokenIdSet& ids, bool as_spam,
                           std::uint32_t copies, bool is_train,
-                          util::Mutex& mu) SBX_REQUIRES(mu);
+                          const BaseTotals& base, util::Mutex& mu)
+      SBX_REQUIRES(mu);
 
   /// The publish half: release-stores a prepared overlay and counts the
   /// mutation. Caller holds `mu`, the shard mutation lock.

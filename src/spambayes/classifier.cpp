@@ -178,7 +178,7 @@ ScoreIdResult Classifier::score_ids(const TokenDatabase& db,
 }
 
 ScoreIdResult Classifier::score_ids(const TokenDatabase& base,
-                                    const TokenDatabase& overlay,
+                                    const SparseTokenDatabase& overlay,
                                     const TokenIdList& ids) const {
   ScoreIdResult result;
   result.evidence.reserve(ids.size());

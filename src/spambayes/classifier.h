@@ -22,6 +22,7 @@
 
 #include "spambayes/interner.h"
 #include "spambayes/options.h"
+#include "spambayes/sparse_token_db.h"
 #include "spambayes/token_db.h"
 #include "spambayes/tokenizer.h"
 
@@ -97,16 +98,18 @@ class Classifier {
                           const TokenIdList& ids) const;
 
   /// Overlay-aware scoring view: scores `ids` against the virtual merge of
-  /// a shared immutable `base` database and a per-user `overlay` delta,
-  /// without materializing the merge. Per-token counts are the uint32 sums
-  /// base + overlay and the class totals NS/NH are summed the same way —
-  /// exactly the values a database trained on both message sets would hold
-  /// (counts are additive, TokenDatabase::merge does the same additions) —
-  /// so every score is bit-identical to score_ids() on such a merged
-  /// database. This is the serving layer's classify path for users with a
-  /// non-empty copy-on-write overlay (src/serve/).
+  /// a shared immutable `base` database and a per-user sparse `overlay`
+  /// delta, without materializing the merge. Per-token counts are the
+  /// uint32 sums base + overlay and the class totals NS/NH are summed the
+  /// same way — exactly the values a database trained on both message sets
+  /// would hold (counts are additive, TokenDatabase::merge does the same
+  /// additions) — so every score is bit-identical to score_ids() on such a
+  /// merged database. The caller keeps the sums inside uint32 (the serving
+  /// layer rejects a mutation that would pass UINT32_MAX). This is the
+  /// serving layer's classify path for users with a non-empty
+  /// copy-on-write overlay (src/serve/).
   ScoreIdResult score_ids(const TokenDatabase& base,
-                          const TokenDatabase& overlay,
+                          const SparseTokenDatabase& overlay,
                           const TokenIdList& ids) const;
 
   /// Maps a score I(E) to a verdict using the configured cutoffs:

@@ -93,6 +93,11 @@ class TokenDatabase {
   /// calls (copies == 0) do not bump.
   std::uint64_t generation() const { return generation_; }
 
+  /// Next value of the process-global generation counter (atomic, starts
+  /// at 1 so 0 can mean "nothing observed yet" in caches). Public so every
+  /// counts type (SparseTokenDatabase too) stamps from the one counter.
+  static std::uint64_t next_generation();
+
   /// Merges another database into this one (counts add; used to combine
   /// per-shard training).
   void merge(const TokenDatabase& other);
@@ -123,10 +128,6 @@ class TokenDatabase {
  private:
   void add(const TokenIdSet& ids, std::uint32_t copies, bool spam);
   void remove(const TokenIdSet& ids, std::uint32_t copies, bool spam);
-
-  /// Next value of the process-global generation counter (atomic, starts
-  /// at 1 so 0 can mean "nothing observed yet" in caches).
-  static std::uint64_t next_generation();
 
   std::vector<TokenCounts> counts_;  // indexed by TokenId
   std::size_t vocab_ = 0;            // entries with nonzero counts

@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <limits>
+#include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,7 +19,9 @@
 #include "serve/base_model.h"
 #include "serve/frontend.h"
 #include "serve/client.h"
+#include "serve/recovery.h"
 #include "serve/server.h"
+#include "serve/wal.h"
 #include "util/error.h"
 #include "util/random.h"
 
@@ -142,6 +149,63 @@ TEST(ServeFrontend, ConcurrentClassifyDuringTraining) {
   trainer.join();
   classifier.join();
   EXPECT_EQ(frontend.stats().train_requests, 50u);
+}
+
+// Train.copies is an unchecked u32 from the client, and classify sums base
+// and overlay class totals in uint32. Two frames with copies = 0xFFFFFFFF
+// would wrap them; both are rejected before anything reaches the WAL, and
+// the user's model is left exactly as it was.
+TEST(ServeFrontend, RejectsTrainCopiesThatWouldWrapClassTotals) {
+  const std::string data_dir =
+      testing::TempDir() + "sbx_frontend_wrap_" +
+      std::to_string(static_cast<unsigned>(::getpid()));
+  std::filesystem::remove_all(data_dir);
+  {
+    DurabilityConfig dc;
+    dc.data_dir = data_dir;
+    dc.fsync = FsyncMode::kNone;
+    ServeFrontend frontend(build_base_filter(small_base()), {2, 8},
+                           std::make_unique<Durability>(dc, 2));
+    const auto msgs = make_messages(4, 7);
+    ClassifyBatchRequest c;
+    c.user_id = 3;
+    c.messages = msgs;
+    const ClassifyBatchResponse before = frontend.classify_batch(c);
+
+    TrainRequest t;
+    t.user_id = 3;
+    t.as_spam = true;
+    t.copies = std::numeric_limits<std::uint32_t>::max();
+    t.message = msgs[1];
+    const std::vector<std::uint8_t> frame = encode_frame(Request(t));
+    for (int i = 0; i < 2; ++i) {
+      const Response r = frontend.dispatch(
+          decode_request(std::span<const std::uint8_t>(frame).subspan(4)));
+      ASSERT_TRUE(std::holds_alternative<ErrorResponse>(r));
+      EXPECT_NE(std::get<ErrorResponse>(r).message.find("2^32 - 1"),
+                std::string::npos);
+    }
+    const StatsResponse s = frontend.stats();
+    EXPECT_EQ(s.errors, 2u);
+    EXPECT_EQ(s.overlay_users, 0u);
+    EXPECT_EQ(s.wal_records, 0u);
+    EXPECT_EQ(frontend.overlay(3), nullptr);
+    const ClassifyBatchResponse after = frontend.classify_batch(c);
+    for (std::size_t i = 0; i < msgs.size(); ++i) {
+      EXPECT_EQ(after.results[i].score, before.results[i].score);
+    }
+
+    // The largest train that fits is accepted; one more copy is not, and
+    // leaves the published overlay in place.
+    t.copies = std::numeric_limits<std::uint32_t>::max() - s.base_spam_count;
+    EXPECT_EQ(frontend.train(t).overlay_spam, t.copies);
+    const OverlaySnapshot full = frontend.overlay(3);
+    t.copies = 1;
+    EXPECT_THROW(frontend.train(t), InvalidArgument);
+    EXPECT_EQ(frontend.overlay(3), full);
+    EXPECT_EQ(frontend.stats().wal_records, 1u);
+  }
+  std::filesystem::remove_all(data_dir);
 }
 
 TEST(ServeServer, SocketRoundTripMatchesInProcessBitwise) {
