@@ -2,8 +2,9 @@
 // interning + score-engine refactors target — classification (msgs/sec)
 // through the legacy string-set path, the interned id path and the
 // generation-cached ScoreEngine (single-message and zero-alloc batch),
-// train/untrain round trips (ops/sec) and tokenization (MB/s) — plus the
-// serving layer's per-user overlay: copy-on-write train (ops/sec) and
+// train/untrain round trips (ops/sec) and tokenization (MB/s; one ham
+// probe, and the served message mix both interning and lookup-only) — plus
+// the serving layer's per-user overlay: copy-on-write train (ops/sec) and
 // base + overlay scoring (msgs/sec).
 //
 // Unlike bench_micro (google-benchmark, optional dependency), this binary
@@ -87,16 +88,13 @@ int main(int argc, char** argv) {
   util::Rng rng(4);
   spambayes::Filter filter;
   for (int i = 0; i < 200; ++i) {
-    filter.train_ham_ids(spambayes::unique_token_ids(
-        tok.tokenize_ids(gen.generate_ham(rng))));
-    filter.train_spam_ids(spambayes::unique_token_ids(
-        tok.tokenize_ids(gen.generate_spam(rng))));
+    filter.train_ham_ids(tok.tokenize_id_set(gen.generate_ham(rng)));
+    filter.train_spam_ids(tok.tokenize_id_set(gen.generate_spam(rng)));
   }
   const email::Message probe_msg = gen.generate_ham(rng);
   const spambayes::TokenSet probe_tokens =
       spambayes::unique_tokens(tok.tokenize(probe_msg));
-  const spambayes::TokenIdSet probe_ids =
-      spambayes::unique_token_ids(tok.tokenize_ids(probe_msg));
+  const spambayes::TokenIdSet probe_ids = tok.tokenize_id_set(probe_msg);
 
   const double classify_string = ops_per_sec(min_seconds, [&] {
     g_sink = filter.classify_tokens(probe_tokens).score;
@@ -118,8 +116,8 @@ int main(int argc, char** argv) {
   // sink API (per-message evidence buffers reused across the batch).
   std::vector<spambayes::TokenIdSet> batch;
   for (int i = 0; i < 64; ++i) {
-    batch.push_back(spambayes::unique_token_ids(tok.tokenize_ids(
-        i % 2 == 0 ? gen.generate_ham(rng) : gen.generate_spam(rng))));
+    batch.push_back(tok.tokenize_id_set(i % 2 == 0 ? gen.generate_ham(rng)
+                                                   : gen.generate_spam(rng)));
   }
   const double classify_engine_batch =
       ops_per_sec(min_seconds,
@@ -139,8 +137,7 @@ int main(int argc, char** argv) {
   const email::Message spam_msg = gen.generate_spam(train_rng);
   const spambayes::TokenSet spam_tokens =
       spambayes::unique_tokens(tok.tokenize(spam_msg));
-  const spambayes::TokenIdSet spam_ids =
-      spambayes::unique_token_ids(tok.tokenize_ids(spam_msg));
+  const spambayes::TokenIdSet spam_ids = tok.tokenize_id_set(spam_msg);
 
   const double train_string = ops_per_sec(min_seconds, [&] {
     filter.train_spam_tokens(spam_tokens);
@@ -167,12 +164,48 @@ int main(int argc, char** argv) {
       msg_mb;
   const double tokenize_ids =
       ops_per_sec(min_seconds,
-                  [&] {
-                    g_sink = spambayes::unique_token_ids(
-                                 tok.tokenize_ids(ham_msg))
-                                 .size();
-                  }) *
+                  [&] { g_sink = tok.tokenize_id_set(ham_msg).size(); }) *
       msg_mb;
+
+  // --- tokenization on the served mix: generator ham and spam 50/50, every
+  // 20th message a spam carrying 16 random words no vocabulary holds (a
+  // hash-buster). Lookup-only runs first, so the hash-busters' words are
+  // still unseen there, as they are for a daemon's classify traffic; the
+  // interning pass then interns them once and runs warm. ---------------
+  std::vector<email::Message> mix;
+  double mix_mb = 0.0;
+  util::Rng mix_rng(6);
+  for (int i = 0; i < 200; ++i) {
+    email::Message m = i % 2 == 0 ? gen.generate_ham(mix_rng)
+                                  : gen.generate_spam(mix_rng);
+    if (i % 20 == 19) {
+      std::string body = m.body() + "\n";
+      for (int w = 0; w < 16; ++w) {
+        const std::size_t len = 7 + mix_rng.index(5);
+        for (std::size_t c = 0; c < len; ++c) {
+          body.push_back(static_cast<char>('a' + mix_rng.index(26)));
+        }
+        body.push_back(w == 15 ? '\n' : ' ');
+      }
+      m.set_body(std::move(body));
+    }
+    mix_mb += static_cast<double>(email::render_message(m).size()) / 1.0e6;
+    mix.push_back(std::move(m));
+  }
+  const auto tokenize_mix = [&](spambayes::IdMode mode) {
+    return ops_per_sec(min_seconds,
+                       [&] {
+                         std::size_t ids = 0;
+                         for (const email::Message& m : mix) {
+                           ids += tok.tokenize_id_set(m, mode).size();
+                         }
+                         g_sink = static_cast<double>(ids);
+                       }) *
+           mix_mb;
+  };
+  const double tokenize_mix_lookup =
+      tokenize_mix(spambayes::IdMode::kLookupOnly);
+  const double tokenize_mix_ids = tokenize_mix(spambayes::IdMode::kIntern);
 
   // --- serving overlay: one user's copy-on-write feedback ---------------
   // Measured last, after ~1M filler ids are interned, so the ids this
@@ -186,19 +219,19 @@ int main(int argc, char** argv) {
   util::Rng overlay_rng(5);
   spambayes::SparseTokenDatabase overlay;
   for (int i = 0; i < 110; ++i) {
-    overlay.train_spam_ids(spambayes::unique_token_ids(tok.tokenize_ids(
+    overlay.train_spam_ids(tok.tokenize_id_set(
         i % 2 == 0 ? gen.generate_spam(overlay_rng)
-                   : gen.generate_ham(overlay_rng))));
+                   : gen.generate_ham(overlay_rng)));
   }
-  const spambayes::TokenIdSet feedback_ids = spambayes::unique_token_ids(
-      tok.tokenize_ids(gen.generate_spam(overlay_rng)));
+  const spambayes::TokenIdSet feedback_ids =
+      tok.tokenize_id_set(gen.generate_spam(overlay_rng));
   const double overlay_cow_train = ops_per_sec(min_seconds, [&] {
     auto next = std::make_shared<spambayes::SparseTokenDatabase>(overlay);
     next->train_spam_ids(feedback_ids);
     g_sink = next->spam_count();
   });
-  const spambayes::TokenIdSet overlay_probe = spambayes::unique_token_ids(
-      tok.tokenize_ids(gen.generate_ham(overlay_rng)));
+  const spambayes::TokenIdSet overlay_probe =
+      tok.tokenize_id_set(gen.generate_ham(overlay_rng));
   const double overlay_score = ops_per_sec(min_seconds, [&] {
     g_sink = filter.classifier()
                  .score_ids(filter.database(), overlay, overlay_probe)
@@ -217,6 +250,8 @@ int main(int argc, char** argv) {
       {"train_untrain_interned_ops_per_sec", train_interned},
       {"tokenize_to_set_string_mb_per_sec", tokenize_string},
       {"tokenize_to_ids_mb_per_sec", tokenize_ids},
+      {"tokenize_mix_ids_mb_per_sec", tokenize_mix_ids},
+      {"tokenize_mix_lookup_mb_per_sec", tokenize_mix_lookup},
       {"overlay_cow_train_ops_per_sec", overlay_cow_train},
       {"overlay_score_msgs_per_sec", overlay_score},
   };

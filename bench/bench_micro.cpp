@@ -68,7 +68,7 @@ void BM_TrainHamMessageInterned(benchmark::State& state) {
   sbx::util::Rng rng(2);
   const auto msg = shared_generator().generate_ham(rng);
   const sbx::spambayes::Tokenizer tok;
-  const auto ids = sbx::spambayes::unique_token_ids(tok.tokenize_ids(msg));
+  const auto ids = tok.tokenize_id_set(msg);
   sbx::spambayes::Filter filter;
   for (auto _ : state) {
     filter.train_ham_ids(ids);
@@ -80,7 +80,7 @@ void BM_TrainUntrainRoundTripInterned(benchmark::State& state) {
   sbx::util::Rng rng(3);
   const auto msg = shared_generator().generate_spam(rng);
   const sbx::spambayes::Tokenizer tok;
-  const auto ids = sbx::spambayes::unique_token_ids(tok.tokenize_ids(msg));
+  const auto ids = tok.tokenize_id_set(msg);
   sbx::spambayes::Filter filter;
   for (auto _ : state) {
     filter.train_spam_ids(ids);
@@ -94,8 +94,7 @@ void BM_DictionaryBatchTrainInterned(benchmark::State& state) {
   const sbx::core::DictionaryAttack attack =
       sbx::core::DictionaryAttack::aspell(gen.lexicons());
   const sbx::spambayes::Tokenizer tok;
-  const auto ids = sbx::spambayes::unique_token_ids(
-      tok.tokenize_ids(attack.attack_message()));
+  const auto ids = tok.tokenize_id_set(attack.attack_message());
   for (auto _ : state) {
     sbx::spambayes::Filter filter;
     filter.train_spam_ids(ids, 101);  // 1% of a 10k inbox, one update
@@ -144,13 +143,10 @@ void BM_ClassifyMessageInterned(benchmark::State& state) {
   sbx::spambayes::Filter filter;
   const sbx::spambayes::Tokenizer tok;
   for (int i = 0; i < 200; ++i) {
-    filter.train_ham_ids(sbx::spambayes::unique_token_ids(
-        tok.tokenize_ids(gen.generate_ham(rng))));
-    filter.train_spam_ids(sbx::spambayes::unique_token_ids(
-        tok.tokenize_ids(gen.generate_spam(rng))));
+    filter.train_ham_ids(tok.tokenize_id_set(gen.generate_ham(rng)));
+    filter.train_spam_ids(tok.tokenize_id_set(gen.generate_spam(rng)));
   }
-  const auto probe = sbx::spambayes::unique_token_ids(
-      tok.tokenize_ids(gen.generate_ham(rng)));
+  const auto probe = tok.tokenize_id_set(gen.generate_ham(rng));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         filter.classifier().score_ids(filter.database(), probe).score);
@@ -164,13 +160,10 @@ void BM_ClassifyMessageEngine(benchmark::State& state) {
   sbx::spambayes::Filter filter;
   const sbx::spambayes::Tokenizer tok;
   for (int i = 0; i < 200; ++i) {
-    filter.train_ham_ids(sbx::spambayes::unique_token_ids(
-        tok.tokenize_ids(gen.generate_ham(rng))));
-    filter.train_spam_ids(sbx::spambayes::unique_token_ids(
-        tok.tokenize_ids(gen.generate_spam(rng))));
+    filter.train_ham_ids(tok.tokenize_id_set(gen.generate_ham(rng)));
+    filter.train_spam_ids(tok.tokenize_id_set(gen.generate_spam(rng)));
   }
-  const auto probe = sbx::spambayes::unique_token_ids(
-      tok.tokenize_ids(gen.generate_ham(rng)));
+  const auto probe = tok.tokenize_id_set(gen.generate_ham(rng));
   sbx::spambayes::ScoreEngine engine(filter.options().classifier);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -185,15 +178,13 @@ void BM_ClassifyBatch64Engine(benchmark::State& state) {
   sbx::spambayes::Filter filter;
   const sbx::spambayes::Tokenizer tok;
   for (int i = 0; i < 200; ++i) {
-    filter.train_ham_ids(sbx::spambayes::unique_token_ids(
-        tok.tokenize_ids(gen.generate_ham(rng))));
-    filter.train_spam_ids(sbx::spambayes::unique_token_ids(
-        tok.tokenize_ids(gen.generate_spam(rng))));
+    filter.train_ham_ids(tok.tokenize_id_set(gen.generate_ham(rng)));
+    filter.train_spam_ids(tok.tokenize_id_set(gen.generate_spam(rng)));
   }
   std::vector<sbx::spambayes::TokenIdSet> batch;
   for (int i = 0; i < 64; ++i) {
-    batch.push_back(sbx::spambayes::unique_token_ids(tok.tokenize_ids(
-        i % 2 == 0 ? gen.generate_ham(rng) : gen.generate_spam(rng))));
+    batch.push_back(tok.tokenize_id_set(i % 2 == 0 ? gen.generate_ham(rng)
+                                                   : gen.generate_spam(rng)));
   }
   sbx::spambayes::ScoreEngine engine(filter.options().classifier);
   for (auto _ : state) {

@@ -130,7 +130,7 @@ int main() {
   std::vector<std::size_t> indices;
   for (const auto& c : batch) {
     batch_tokens.items.emplace_back(
-        spambayes::unique_token_ids(tokenizer.tokenize_ids(c.message)),
+        tokenizer.tokenize_id_set(c.message),
         c.labeled_spam ? corpus::TrueLabel::spam : corpus::TrueLabel::ham);
     indices.push_back(batch_tokens.items.size() - 1);
   }

@@ -37,7 +37,7 @@ int main() {
               defense.config().rejection_threshold);
 
   auto assess = [&](const email::Message& msg, const char* tag) {
-    auto ids = spambayes::unique_token_ids(tokenizer.tokenize_ids(msg));
+    auto ids = tokenizer.tokenize_id_set(msg);
     util::Rng assess_rng = rng.fork(ids.size());
     core::RoniAssessment a = defense.assess(ids, pool, assess_rng);
     std::printf("  %-26s impact %+6.2f ham-as-ham  ->  %s\n", tag,

@@ -30,7 +30,7 @@ spambayes::TokenIdSet trigger_token_ids(
     if (!joined.empty()) joined.push_back(' ');
     joined += token;
   }
-  return spambayes::unique_token_ids(tokenizer.tokenize_text_ids(joined));
+  return tokenizer.tokenize_text_id_set(joined);
 }
 
 DictionaryCurve run_dictionary_curve(const corpus::TrecLikeGenerator& gen,
@@ -55,13 +55,12 @@ DictionaryCurve run_dictionary_curve(const corpus::TrecLikeGenerator& gen,
   const std::size_t clean_tokens =
       tokenized.raw_tokens * (config.folds - 1) / config.folds;
 
-  // Tokenize the attack message once; the raw list carries the §4.2
-  // numerator, its deduplicated ids feed training.
-  const spambayes::TokenIdList attack_raw =
-      tokenizer.tokenize_ids(spec.message);
-  const std::size_t attack_tokens_per_message = attack_raw.size();
+  // The raw token count of the attack message is the §4.2 numerator; its
+  // deduplicated ids feed training.
+  const std::size_t attack_tokens_per_message =
+      tokenizer.tokenize_ids(spec.message).size();
   const spambayes::TokenIdSet attack_ids =
-      spambayes::unique_token_ids(attack_raw);
+      tokenizer.tokenize_id_set(spec.message);
   const bool train_as_spam = spec.train_as == corpus::TrueLabel::spam;
 
   // The BadNets trigger, as the ids stamping it onto a message produces.

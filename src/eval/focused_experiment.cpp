@@ -94,7 +94,7 @@ std::vector<spambayes::TokenIdSet> tokenize_attack_emails(
   std::vector<spambayes::TokenIdSet> out;
   out.reserve(emails.size());
   for (const auto& m : emails) {
-    out.push_back(spambayes::unique_token_ids(tokenizer.tokenize_ids(m)));
+    out.push_back(tokenizer.tokenize_id_set(m));
   }
   return out;
 }
@@ -335,8 +335,7 @@ std::vector<TokenShiftExample> run_token_shift(
     std::vector<spambayes::TokenIdSet> attack_ids;
     attack_ids.reserve(attack_emails.size());
     for (const auto& m : attack_emails) {
-      attack_ids.push_back(
-          spambayes::unique_token_ids(tokenizer.tokenize_ids(m)));
+      attack_ids.push_back(tokenizer.tokenize_id_set(m));
     }
     const std::unordered_set<std::string> guessed(
         attack.guessed_words().begin(), attack.guessed_words().end());

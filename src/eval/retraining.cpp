@@ -149,8 +149,7 @@ std::vector<WeekReport> run_retraining_timeline(
     fresh_ids.clear();
     fresh_ids.reserve(fresh.items.size());
     for (const auto& item : fresh.items) {
-      fresh_ids.push_back(
-          spambayes::unique_token_ids(tokenizer.tokenize_ids(item.message)));
+      fresh_ids.push_back(tokenizer.tokenize_id_set(item.message));
     }
     filter.classify_batch(
         fresh_ids.size(),

@@ -43,8 +43,8 @@ RoniExperimentResult run_roni_experiment(const corpus::TrecLikeGenerator& gen,
     std::vector<spambayes::TokenIdSet> spam_queries;
     spam_queries.reserve(config.nonattack_queries);
     for (std::size_t i = 0; i < config.nonattack_queries; ++i) {
-      spam_queries.push_back(spambayes::unique_token_ids(
-          tokenizer.tokenize_ids(gen.generate_spam(query_rng))));
+      spam_queries.push_back(
+          tokenizer.tokenize_id_set(gen.generate_spam(query_rng)));
     }
     runner.map_reduce(
         spam_queries.size(), query_rng,
@@ -63,8 +63,8 @@ RoniExperimentResult run_roni_experiment(const corpus::TrecLikeGenerator& gen,
     const RoniQuery& query = queries[ai];
     RoniVariantResult variant;
     variant.name = query.name;
-    const spambayes::TokenIdSet attack_ids = spambayes::unique_token_ids(
-        tokenizer.tokenize_ids(query.message));
+    const spambayes::TokenIdSet attack_ids =
+        tokenizer.tokenize_id_set(query.message);
 
     util::Rng attack_rng = runner.fork(100 + ai);
     runner.map_reduce(

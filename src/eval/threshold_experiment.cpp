@@ -31,8 +31,8 @@ std::vector<ThresholdCurvePoint> run_threshold_defense_curve(
   const spambayes::Tokenizer tokenizer(base.filter.tokenizer);
   const corpus::TokenizedDataset tokenized =
       corpus::tokenize_dataset(dataset, tokenizer);
-  const spambayes::TokenIdSet attack_ids = spambayes::unique_token_ids(
-      tokenizer.tokenize_ids(spec.message));
+  const spambayes::TokenIdSet attack_ids =
+      tokenizer.tokenize_id_set(spec.message);
   const bool train_as_spam = spec.train_as == corpus::TrueLabel::spam;
 
   util::Rng fold_rng = runner.fork(2);

@@ -87,16 +87,20 @@ ClassifyBatchResponse ServeFrontend::classify_batch(
   const RouteEntry at = route_checked(request.user_id);
   ModelShard& shard = *shards_[at.shard];
 
-  // Tokenize the whole batch first; scoring then runs over pure id sets.
+  // One snapshot for the whole batch: mutations landing mid-batch are
+  // seen by the next request, never by a half-scored batch. It is taken
+  // before tokenizing: every id in a published overlay was interned before
+  // that overlay was published, so the lookup-only pass below finds all of
+  // them. (Tokenizing first could pair a pre-train lookup, which drops the
+  // train's novel tokens, with a post-train overlay.)
+  const OverlaySnapshot overlay = shard.overlay(at.local);
+
+  // Tokenize the whole batch; scoring then runs over pure id sets.
   std::vector<spambayes::TokenIdSet> ids;
   ids.reserve(request.messages.size());
   for (const std::string& raw : request.messages) {
-    ids.push_back(base_.message_token_ids(email::parse_message(raw)));
+    ids.push_back(base_.classify_token_ids(email::parse_message(raw)));
   }
-
-  // One snapshot for the whole batch: mutations landing mid-batch are
-  // seen by the next request, never by a half-scored batch.
-  const OverlaySnapshot overlay = shard.overlay(at.local);
 
   ClassifyBatchResponse response;
   response.results.resize(ids.size());

@@ -21,11 +21,23 @@
 //  * one classify batch reads one overlay snapshot: mutations that land
 //    mid-batch affect later requests, never a half-scored batch.
 //
+// Snapshot, then tokenize: classify never interns. It tokenizes through
+// Filter::classify_token_ids(), which only looks tokens up and drops the
+// ones the process-global interner has never seen (they would score as
+// non-discriminators; the Filter falls back to interning for options
+// where they would not). The overlay snapshot is taken *before* that
+// lookup. A Train interns its message's tokens before it publishes the
+// overlay, and the snapshot's acquire pairs with that publish, so the
+// lookup finds every token the snapshot's overlay holds and the result is
+// exactly the pre-train or the post-train score. The reverse order could
+// pair a lookup that missed a train's novel tokens with the overlay that
+// counts them, a score neither model would produce.
+//
 // Cost: a user's overlay is a sparse table of the tokens that user
 // trained (spambayes::SparseTokenDatabase), so per-user memory and the
 // copy-on-write cost of each Train/Untrain are O(that user's feedback).
-// Neither grows with the shared interner, which every user's classify
-// traffic keeps growing.
+// Classify traffic grows no shared state at all; only Train, Untrain and
+// replay intern.
 //
 // Durability (PR 7): constructed with a Durability, every Train/Untrain is
 // WAL-logged before it publishes, and recover() (recovery.h) rebuilds the

@@ -37,8 +37,8 @@ void select_and_combine(Result& result, const ClassifierOptions& opts,
   std::vector<Candidate> candidates;
   candidates.reserve(result.evidence.size());
   for (std::size_t i = 0; i < result.evidence.size(); ++i) {
-    const double distance = std::fabs(result.evidence[i].score - 0.5);
-    if (distance > opts.minimum_prob_strength) {
+    const double distance = detail::neutral_distance(result.evidence[i].score);
+    if (detail::is_discriminator(distance, opts)) {
       candidates.push_back({distance, i});
     }
   }

@@ -1,18 +1,28 @@
 #include "spambayes/filter.h"
 
+#include "spambayes/scoring_math.h"
 #include "util/error.h"
 
 namespace sbx::spambayes {
 
 Filter::Filter(FilterOptions opts)
-    : opts_(opts), tokenizer_(opts.tokenizer), classifier_(opts.classifier) {}
+    : opts_(opts),
+      classify_id_mode_(detail::unseen_token_is_discriminator(opts.classifier)
+                            ? IdMode::kIntern
+                            : IdMode::kLookupOnly),
+      tokenizer_(opts.tokenizer),
+      classifier_(opts.classifier) {}
 
 TokenSet Filter::message_tokens(const email::Message& msg) const {
   return unique_tokens(tokenizer_.tokenize(msg));
 }
 
 TokenIdSet Filter::message_token_ids(const email::Message& msg) const {
-  return unique_token_ids(tokenizer_.tokenize_ids(msg));
+  return tokenizer_.tokenize_id_set(msg);
+}
+
+TokenIdSet Filter::classify_token_ids(const email::Message& msg) const {
+  return tokenizer_.tokenize_id_set(msg, classify_id_mode_);
 }
 
 void Filter::train_ham(const email::Message& msg) {

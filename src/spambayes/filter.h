@@ -13,8 +13,9 @@
 //
 // Hot paths: the *_ids methods operate on interned TokenIdSet message
 // representations (see interner.h) — tokenize a message once with
-// message_token_ids(), then train/untrain/classify with pure id arrays.
-// The string-set methods are thin wrappers kept for API compatibility.
+// message_token_ids() (train) or classify_token_ids() (classify), then
+// train/untrain/classify with pure id arrays. The string-set methods are
+// thin wrappers kept for API compatibility.
 #pragma once
 
 #include <cstdint>
@@ -96,9 +97,18 @@ class Filter {
   /// Tokenize-and-deduplicate helper matching what train/classify do.
   TokenSet message_tokens(const email::Message& msg) const;
 
-  /// Interned counterpart of message_tokens() (one tokenizer pass, no
-  /// per-token strings).
+  /// Interned counterpart of message_tokens(): one tokenizer pass that
+  /// interns every novel token (what training needs).
   TokenIdSet message_token_ids(const email::Message& msg) const;
+
+  /// The id set classification needs, scoring bit-identically to
+  /// message_token_ids(msg) against any database or overlay. When a token
+  /// the interner has never seen cannot enter delta(E) under this filter's
+  /// options (detail::unseen_token_is_discriminator() is false, as it is
+  /// for the defaults), the pass only looks tokens up and drops the unseen
+  /// ones, so classify traffic never grows the process-global interner.
+  /// Otherwise it interns, exactly like message_token_ids().
+  TokenIdSet classify_token_ids(const email::Message& msg) const;
 
   const TokenDatabase& database() const { return db_; }
   TokenDatabase& mutable_database() { return db_; }
@@ -111,6 +121,7 @@ class Filter {
 
  private:
   FilterOptions opts_;
+  IdMode classify_id_mode_;
   Tokenizer tokenizer_;
   Classifier classifier_;
   TokenDatabase db_;

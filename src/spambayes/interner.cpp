@@ -1,7 +1,6 @@
 #include "spambayes/interner.h"
 
 #include <cstring>
-#include <functional>
 
 #include "util/error.h"
 
@@ -28,9 +27,9 @@ TokenInterner::~TokenInterner() {
 }
 
 std::optional<TokenId> TokenInterner::probe(const Table& table,
-                                            std::size_t hash,
+                                            std::size_t token_hash,
                                             std::string_view token) const {
-  for (std::size_t i = hash & table.mask;; i = (i + 1) & table.mask) {
+  for (std::size_t i = token_hash & table.mask;; i = (i + 1) & table.mask) {
     const std::uint32_t value = table.slots[i].load(std::memory_order_acquire);
     if (value == 0) return std::nullopt;
     const TokenId id = value - 1;
@@ -38,8 +37,9 @@ std::optional<TokenId> TokenInterner::probe(const Table& table,
   }
 }
 
-void TokenInterner::place(Table& table, std::size_t hash, TokenId id) {
-  for (std::size_t i = hash & table.mask;; i = (i + 1) & table.mask) {
+void TokenInterner::place(Table& table, std::size_t token_hash,
+                          TokenId id) {
+  for (std::size_t i = token_hash & table.mask;; i = (i + 1) & table.mask) {
     if (table.slots[i].load(std::memory_order_relaxed) == 0) {
       table.slots[i].store(id + 1, std::memory_order_release);
       return;
@@ -65,17 +65,17 @@ std::string_view TokenInterner::store(std::string_view token) {
   return {dst, token.size()};
 }
 
-TokenId TokenInterner::intern(std::string_view token) {
-  const std::size_t hash = std::hash<std::string_view>{}(token);
+TokenId TokenInterner::intern(std::string_view token,
+                              std::size_t token_hash) {
   // Warm path: completely lock-free.
-  if (const auto id = probe(*table_.load(std::memory_order_acquire), hash,
-                            token)) {
+  if (const auto id = probe(*table_.load(std::memory_order_acquire),
+                            token_hash, token)) {
     return *id;
   }
 
   const util::MutexLock lock(write_mutex_);
   Table* table = table_.load(std::memory_order_relaxed);
-  if (const auto id = probe(*table, hash, token)) {
+  if (const auto id = probe(*table, token_hash, token)) {
     return *id;  // raced with another inserter
   }
 
@@ -96,31 +96,24 @@ TokenId TokenInterner::intern(std::string_view token) {
 
   // Grow at 50% load: rebuild into a double-size table and swap. The old
   // table is retired, not freed — a reader still probing it sees a correct
-  // (if slightly stale) view and falls through to the mutex on a miss.
+  // view of every id interned before the swap (intern() re-probes under the
+  // mutex on a miss; find() reports the miss, see interner.h).
   if ((static_cast<std::size_t>(id) + 1) * 2 >= table->capacity) {
     auto grown = std::make_unique<Table>(table->capacity * 2);
     for (TokenId existing = 0; existing < id; ++existing) {
-      place(*grown, std::hash<std::string_view>{}(spelling_unchecked(existing)),
-            existing);
+      place(*grown, hash(spelling_unchecked(existing)), existing);
     }
     table = grown.get();
     tables_.push_back(std::move(grown));
     table_.store(table, std::memory_order_release);
   }
-  place(*table, hash, id);
+  place(*table, token_hash, id);
   return id;
 }
 
-std::optional<TokenId> TokenInterner::find(std::string_view token) const {
-  const std::size_t hash = std::hash<std::string_view>{}(token);
-  if (const auto id = probe(*table_.load(std::memory_order_acquire), hash,
-                            token)) {
-    return id;
-  }
-  // A lock-free miss may race an in-flight insert; confirm under the writer
-  // mutex against the newest table before reporting absence.
-  const util::MutexLock lock(write_mutex_);
-  return probe(*table_.load(std::memory_order_relaxed), hash, token);
+std::optional<TokenId> TokenInterner::find(std::string_view token,
+                                           std::size_t token_hash) const {
+  return probe(*table_.load(std::memory_order_acquire), token_hash, token);
 }
 
 std::string_view TokenInterner::spelling(TokenId id) const {

@@ -16,19 +16,30 @@
 //    insertions and table growth take the writer mutex; superseded tables
 //    are retired, never freed, so stale readers stay safe (the table is
 //    append-only — no deletions, ever).
-//  * find() is lock-free on hit; a miss re-checks under the writer mutex so
-//    an id published by another thread is never spuriously reported absent.
+//  * find() never takes a lock. A token whose intern() call happens-before
+//    the find() call is always found: that intern() placed the id in the
+//    table current at the time, and every table published later is built
+//    from all ids interned before it. A token whose interning races the
+//    find() (no happens-before edge either way) may be reported absent.
+//    Callers that pair a lookup with state published by another thread
+//    (the serving layer's overlays) acquire that state first, so every id
+//    it references was interned before the lookup starts.
 //  * spelling(id) is lock-free and wait-free for any id previously returned
 //    by intern(): ids are published with release semantics into chunks that
 //    never move once allocated.
 //  * ids are assigned in first-intern order. Nothing in the system may
 //    depend on the numeric order of ids (it varies with thread scheduling);
 //    determinism always comes from comparing spellings.
+//
+// Hashing: intern() and find() also take a precomputed hash, which must be
+// TokenInterner::hash(token). The one-pass tokenizer hashes each spelling
+// once and uses that value both for its per-message dedup and here.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -57,13 +68,74 @@ class TokenInterner {
   TokenInterner(const TokenInterner&) = delete;
   TokenInterner& operator=(const TokenInterner&) = delete;
 
+  /// The hash intern() and find() expect: 8-byte words folded through a
+  /// 64x64->128-bit multiply, then one final fold. Inline so the tokenizer
+  /// hashes each spelling without a call.
+  static std::size_t hash(std::string_view token) {
+    const char* p = token.data();
+    std::size_t n = token.size();
+    std::uint64_t h = fold(n ^ kHashSeed, kHashMul);
+    for (; n >= 8; n -= 8, p += 8) {
+      std::uint64_t word;
+      std::memcpy(&word, p, 8);
+      h = fold(h ^ word, kHashMul);
+    }
+    if (n > 0) {
+      std::uint64_t word = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        word |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
+                << (8 * i);
+      }
+      h = fold(h ^ word, kHashMul);
+    }
+    return static_cast<std::size_t>(fold(h, kHashSeed));
+  }
+
   /// Returns the id for `token`, inserting it on first sight. The spelling
   /// is copied into the interner's arena; the caller's buffer may die.
-  TokenId intern(std::string_view token) SBX_EXCLUDES(write_mutex_);
-
-  /// Returns the id for `token` if it was ever interned; does not insert.
-  std::optional<TokenId> find(std::string_view token) const
+  TokenId intern(std::string_view token) SBX_EXCLUDES(write_mutex_) {
+    return intern(token, hash(token));
+  }
+  /// Same, with `token_hash` == hash(token) already computed.
+  TokenId intern(std::string_view token, std::size_t token_hash)
       SBX_EXCLUDES(write_mutex_);
+
+  /// Returns the id for `token` if it was ever interned; does not insert
+  /// and never blocks (see the header comment for what it is guaranteed
+  /// to see).
+  std::optional<TokenId> find(std::string_view token) const {
+    return find(token, hash(token));
+  }
+  /// Same, with `token_hash` == hash(token) already computed.
+  std::optional<TokenId> find(std::string_view token,
+                              std::size_t token_hash) const;
+
+  /// Hints that a lookup of a token hashing to `token_hash` is coming, so
+  /// a batch of independent lookups overlaps its cache misses. A probe
+  /// touches three lines, each address read from the previous one: the
+  /// home slot, the id's spelling entry, the spelling bytes. Level 0
+  /// prefetches the slot; level 1 reads it and prefetches the entry; level
+  /// 2 reads the entry and prefetches the bytes. Issue the levels in order,
+  /// a few lookups apart. Reads only published state; no effect on results.
+  void prefetch(std::size_t token_hash, int level) const {
+    const Table* table = table_.load(std::memory_order_acquire);
+    const auto& slot = table->slots[token_hash & table->mask];
+    if (level == 0) {
+      __builtin_prefetch(&slot);
+      return;
+    }
+    const std::uint32_t value = slot.load(std::memory_order_acquire);
+    if (value == 0) return;
+    const TokenId id = value - 1;
+    const Chunk* chunk =
+        chunks_[id >> kChunkBits].load(std::memory_order_acquire);
+    const std::string_view* entry = &chunk->entries[id & (kChunkSize - 1)];
+    if (level == 1) {
+      __builtin_prefetch(entry);
+    } else {
+      __builtin_prefetch(entry->data());
+    }
+  }
 
   /// The spelling of an interned id. Lock-free; the returned view lives as
   /// long as the interner. Throws InvalidArgument for ids never returned by
@@ -85,6 +157,17 @@ class TokenInterner {
   static constexpr std::size_t kMaxChunks = std::size_t{1} << 12;
   static constexpr std::size_t kArenaBlockBytes = std::size_t{1} << 16;
   static constexpr std::size_t kInitialTableCapacity = 1024;
+  static constexpr std::uint64_t kHashSeed = 0x9e3779b97f4a7c15ULL;
+  static constexpr std::uint64_t kHashMul = 0xe7037ed1a0b428dbULL;
+
+  /// Multiplies into 128 bits and xors the halves together.
+  static std::uint64_t fold(std::uint64_t a, std::uint64_t b) {
+    // GCC/Clang extension; __extension__ silences -Wpedantic.
+    __extension__ typedef unsigned __int128 Wide;
+    const Wide product = static_cast<Wide>(a) * b;
+    return static_cast<std::uint64_t>(product) ^
+           static_cast<std::uint64_t>(product >> 64);
+  }
 
   struct Chunk {
     std::array<std::string_view, kChunkSize> entries;
@@ -110,13 +193,13 @@ class TokenInterner {
   }
 
   /// Lock-free probe of `table`; nullopt when `token` has no slot there.
-  std::optional<TokenId> probe(const Table& table, std::size_t hash,
+  std::optional<TokenId> probe(const Table& table, std::size_t token_hash,
                                std::string_view token) const;
 
   /// Inserts an id into `table` at its hash position. Static and
   /// annotation-free on purpose: it also runs against not-yet-published
   /// grow tables that no thread can see.
-  static void place(Table& table, std::size_t hash, TokenId id);
+  static void place(Table& table, std::size_t token_hash, TokenId id);
 
   /// Copies `token` into the arena (writer mutex held — compiler-checked).
   std::string_view store(std::string_view token) SBX_REQUIRES(write_mutex_);

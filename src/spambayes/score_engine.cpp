@@ -65,8 +65,8 @@ const ScoreEngine::TokenMemo& ScoreEngine::memo_for(const TokenDatabase& db,
   if (m.epoch != epoch_) {
     const double f = detail::score_from_counts(db.counts(id), ns_, nh_, opts_);
     m.f = f;
-    m.distance = std::fabs(f - 0.5);
-    m.strong = m.distance > opts_.minimum_prob_strength;
+    m.distance = detail::neutral_distance(f);
+    m.strong = detail::is_discriminator(m.distance, opts_);
     if (m.strong) {
       // Identical clamp + libm calls to Classifier's combine step, just
       // evaluated once per (token, generation) instead of per message.

@@ -8,6 +8,8 @@
 // doubles).
 #pragma once
 
+#include <cmath>
+
 #include "spambayes/options.h"
 #include "spambayes/token_db.h"
 
@@ -29,6 +31,25 @@ inline double score_from_counts(TokenCounts c, double ns, double nh,
   const double s = opts.unknown_word_strength;
   const double x = opts.unknown_word_prob;
   return (s * x + n_w * ps) / (s + n_w);
+}
+
+/// |f - 0.5|, the key delta(E) is ordered by.
+inline double neutral_distance(double f) { return std::fabs(f - 0.5); }
+
+/// delta(E) eligibility: a token is a discriminator only when its score is
+/// strictly outside [0.5 - strength, 0.5 + strength].
+inline bool is_discriminator(double distance, const ClassifierOptions& opts) {
+  return distance > opts.minimum_prob_strength;
+}
+
+/// Whether a token absent from every database can enter delta(E). Its
+/// counts are {0, 0} in the base and in any overlay, and with both counts
+/// zero the score does not depend on the class totals. When this is false
+/// (it is for the default options), dropping such tokens before scoring
+/// leaves delta(E), and with it the score and verdict, bit-identical.
+inline bool unseen_token_is_discriminator(const ClassifierOptions& opts) {
+  return is_discriminator(
+      neutral_distance(score_from_counts({0, 0}, 0.0, 0.0, opts)), opts);
 }
 
 }  // namespace sbx::spambayes::detail

@@ -20,13 +20,28 @@
 // Tokens are returned with duplicates; the classifier counts *presence*, so
 // TokenDatabase consumes the deduplicated set (unique_tokens()).
 //
-// Two output forms share one emission pass: the legacy string form
-// (TokenList, one std::string per token) and the interned form (TokenIdList,
-// each token interned into a TokenInterner with zero per-token allocation
-// once the vocabulary is warm). The streams are byte-identical:
-// spelling(tokenize_ids(m)[i]) == tokenize(m)[i] for all i.
+// Output forms. One emitter produces every form, so the token streams are
+// byte-identical across them:
+//  * tokenize(): one std::string per token, in emission order.
+//  * tokenize_ids(): the same stream as ids in the process-global interner,
+//    spelling(tokenize_ids(m)[i]) == tokenize(m)[i] for all i.
+//  * tokenize_id_set(): the one-pass set every train and classify path
+//    uses — the deduplicated, ascending TokenIdSet, built without the
+//    intermediate stream. Each spelling is hashed once; that hash drives a
+//    per-message dedup, so repeats never reach the interner, and is handed
+//    to the interner for the first occurrence. Novel tokens are interned in
+//    first-emission order, as tokenize_ids() would intern them.
+//    IdMode::kLookupOnly only looks tokens up and drops those the interner
+//    has never seen, so it never grows process-global state. That is the
+//    serving layer's classify path (Filter::classify_token_ids() decides
+//    when dropping them leaves the score unchanged).
+//
+// Byte classes (whitespace, alphanumerics, word characters) and
+// lower-casing are the C locale's, read from inline 256-entry tables:
+// bytes >= 0x80 are never alphanumeric and are never case-folded.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,7 +58,14 @@ using TokenList = std::vector<std::string>;
 /// A deduplicated, sorted token set (what training/classification uses).
 using TokenSet = std::vector<std::string>;
 
-/// Stateless tokenizer; cheap to copy.
+/// What tokenize_id_set() does with a token the interner has never seen.
+enum class IdMode : std::uint8_t {
+  kIntern,      // intern it: training and experiments
+  kLookupOnly,  // drop it and leave the interner untouched: served classify
+};
+
+/// Stateless tokenizer; cheap to copy and safe to share between threads
+/// (tokenize_id_set()'s dedup scratch is per thread).
 class Tokenizer {
  public:
   explicit Tokenizer(TokenizerOptions opts = {});
@@ -54,13 +76,18 @@ class Tokenizer {
   /// Tokenizes a plain text blob (no header handling).
   TokenList tokenize_text(std::string_view text) const;
 
-  /// Interned counterparts: the same token stream, emitted as ids. The hot
-  /// path for training/classification — no per-token string allocation.
-  TokenIdList tokenize_ids(const email::Message& msg,
-                           TokenInterner& interner = global_interner()) const;
-  TokenIdList tokenize_text_ids(
-      std::string_view text,
-      TokenInterner& interner = global_interner()) const;
+  /// The same token stream as ids, every token interned (duplicates kept;
+  /// for callers that need the raw token count).
+  TokenIdList tokenize_ids(const email::Message& msg) const;
+  TokenIdList tokenize_text_ids(std::string_view text) const;
+
+  /// The message's deduplicated, ascending id set in one pass — equal to
+  /// unique_token_ids(tokenize_ids(msg)) under IdMode::kIntern, and to
+  /// that set restricted to already-interned tokens under kLookupOnly.
+  TokenIdSet tokenize_id_set(const email::Message& msg,
+                             IdMode mode = IdMode::kIntern) const;
+  TokenIdSet tokenize_text_id_set(std::string_view text,
+                                  IdMode mode = IdMode::kIntern) const;
 
   const TokenizerOptions& options() const { return opts_; }
 
@@ -75,12 +102,12 @@ TokenSet unique_tokens(const TokenList& tokens);
 
 /// Deduplicates an id list into an ascending TokenIdSet (same presence
 /// semantics; dedup by id equals dedup by spelling since interning is
-/// injective).
+/// injective). For merging id sets; a single message's set comes from
+/// Tokenizer::tokenize_id_set().
 TokenIdSet unique_token_ids(TokenIdList ids);
 
 /// Interns an already-deduplicated string set into an id set.
-TokenIdSet intern_tokens(const TokenSet& tokens,
-                         TokenInterner& interner = global_interner());
+TokenIdSet intern_tokens(const TokenSet& tokens);
 
 /// Strips non-word characters (anything outside the tokenizer's word-char
 /// set: alnum, ', -, $, !) from both ends of `word` — the normalization

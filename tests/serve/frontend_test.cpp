@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
 #include <memory>
 #include <span>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "serve/recovery.h"
 #include "serve/server.h"
 #include "serve/wal.h"
+#include "spambayes/scoring_math.h"
 #include "util/error.h"
 #include "util/random.h"
 
@@ -121,9 +124,197 @@ TEST(ServeFrontend, ClassifyManyMatchesSequentialDispatchBitwise) {
   EXPECT_TRUE(std::holds_alternative<ErrorResponse>(parallel.back()));
 }
 
+/// Lower-case letters spelling `n`.
+std::string letters(std::uint64_t n) {
+  std::string s;
+  do {
+    s.push_back(static_cast<char>('a' + n % 26));
+    n /= 26;
+  } while (n > 0);
+  return s;
+}
+
+/// A rendered message with `words` appended words no vocabulary
+/// holds ("zzzq" + tag + a counter in letters; 3-12 characters, so each is
+/// one token).
+std::string with_novel_words(const std::string& raw, const std::string& tag,
+                             std::uint64_t first, int words) {
+  email::Message msg = email::parse_message(raw);
+  std::string body = msg.body() + "\n";
+  for (int w = 0; w < words; ++w) {
+    body += "zzzq" + tag + letters(first + static_cast<std::uint64_t>(w)) +
+            (w + 1 == words ? "\n" : " ");
+  }
+  msg.set_body(std::move(body));
+  return email::render_message(msg);
+}
+
+std::vector<std::string> spam_messages(int n, std::uint64_t seed) {
+  corpus::TrecLikeGenerator generator;
+  util::Rng rng(seed);
+  std::vector<std::string> out;
+  for (int i = 0; i < n; ++i) {
+    out.push_back(email::render_message(generator.generate_spam(rng)));
+  }
+  return out;
+}
+
+/// A short message from generator mail: its Subject and the first dozen
+/// body words, so scores stay clear of 0 and 1.
+std::vector<std::string> short_messages(int n, std::uint64_t seed) {
+  std::vector<std::string> out;
+  for (const std::string& raw : make_messages(n, seed)) {
+    const email::Message full = email::parse_message(raw);
+    std::istringstream words(full.body());
+    std::string body;
+    std::string word;
+    for (int w = 0; w < 12 && words >> word; ++w) body += word + " ";
+    email::Message msg;
+    msg.add_header("Subject", full.header("Subject").value_or(""));
+    msg.set_body(body + "\n");
+    out.push_back(email::render_message(msg));
+  }
+  return out;
+}
+
+std::vector<double> scores(const ClassifyBatchResponse& response) {
+  std::vector<double> out;
+  for (const ClassifyResult& r : response.results) out.push_back(r.score);
+  return out;
+}
+
+// Served classify only looks tokens up: a batch full of never-seen words
+// leaves the interner as it was, and base and overlay users still score
+// bit-identically to the interning paths (Filter::classify_ids over
+// message_token_ids, and Classifier::score_ids over base + overlay).
+TEST(ServeFrontend, ClassifyNeverInternsAndMatchesInterningPathBitwise) {
+  const spambayes::Filter reference = build_base_filter(small_base());
+  ServeFrontend frontend(build_base_filter(small_base()), {2, 8});
+  TrainRequest t;
+  t.user_id = 3;
+  for (const std::string& m : spam_messages(3, 31)) {
+    t.message = with_novel_words(m, "ov", t.request_id * 100, 10);
+    frontend.train(t);
+    ++t.request_id;
+  }
+  const OverlaySnapshot overlay = frontend.overlay(3);
+  ASSERT_NE(overlay, nullptr);
+
+  ClassifyBatchRequest c;
+  c.messages = make_messages(6, 21);
+  for (const std::string& m : spam_messages(6, 22)) {
+    c.messages.push_back(with_novel_words(m, "cl", c.messages.size() * 100,
+                                          16));
+  }
+  c.messages.push_back(with_novel_words(spam_messages(1, 31)[0], "ov", 0, 10));
+
+  spambayes::TokenInterner& interner = spambayes::global_interner();
+  const std::size_t vocabulary_before = interner.size();
+  c.user_id = 0;
+  const ClassifyBatchResponse base_user = frontend.classify_batch(c);
+  c.user_id = 3;
+  const ClassifyBatchResponse overlay_user = frontend.classify_batch(c);
+  EXPECT_EQ(interner.size(), vocabulary_before);
+
+  const spambayes::Filter& served_base = frontend.base();
+  for (std::size_t i = 0; i < c.messages.size(); ++i) {
+    const email::Message parsed = email::parse_message(c.messages[i]);
+    const spambayes::ScoreIdResult want_base =
+        reference.classify_ids(reference.message_token_ids(parsed));
+    EXPECT_EQ(base_user.results[i].score, want_base.score) << i;
+    EXPECT_EQ(base_user.results[i].verdict,
+              verdict_to_byte(want_base.verdict))
+        << i;
+    const spambayes::ScoreIdResult want_overlay =
+        served_base.classifier().score_ids(
+            served_base.database(), *overlay,
+            served_base.message_token_ids(parsed));
+    EXPECT_EQ(overlay_user.results[i].score, want_overlay.score) << i;
+    EXPECT_EQ(overlay_user.results[i].verdict,
+              verdict_to_byte(want_overlay.verdict))
+        << i;
+  }
+  // The interning reference did meet the words classify dropped.
+  EXPECT_GT(interner.size(), vocabulary_before);
+}
+
+// With unknown_word_prob = 0.8 a never-seen token scores 0.8 and is a
+// discriminator, so dropping it would change scores. The frontend then
+// interns, exactly like the interning paths, and stays bit-identical.
+TEST(ServeFrontend, ClassifyInternsWhenUnseenTokensAreDiscriminators) {
+  spambayes::FilterOptions opts;
+  opts.classifier.unknown_word_prob = 0.8;
+  ASSERT_TRUE(spambayes::detail::unseen_token_is_discriminator(
+      opts.classifier));
+  spambayes::Filter base(opts);
+  {
+    corpus::TrecLikeGenerator generator;
+    util::Rng rng(5);
+    for (int i = 0; i < 200; ++i) {
+      if (i % 2 == 0) {
+        base.train_spam(generator.generate_spam(rng));
+      } else {
+        base.train_ham(generator.generate_ham(rng));
+      }
+    }
+  }
+  ServeFrontend frontend(base, {2, 8});
+  TrainRequest t;
+  t.user_id = 3;
+  t.message = spam_messages(1, 41)[0];
+  frontend.train(t);
+  const OverlaySnapshot overlay = frontend.overlay(3);
+  ASSERT_NE(overlay, nullptr);
+
+  ClassifyBatchRequest c;
+  for (const std::string& m : spam_messages(6, 42)) {
+    c.messages.push_back(with_novel_words(m, "fb", c.messages.size() * 100,
+                                          16));
+  }
+  std::vector<double> dropped;
+  for (const std::string& raw : c.messages) {
+    const spambayes::TokenIdSet seen = base.tokenizer().tokenize_id_set(
+        email::parse_message(raw), spambayes::IdMode::kLookupOnly);
+    dropped.push_back(base.classify_ids(seen).score);
+  }
+
+  spambayes::TokenInterner& interner = spambayes::global_interner();
+  const std::size_t vocabulary_before = interner.size();
+  c.user_id = 0;
+  const ClassifyBatchResponse base_user = frontend.classify_batch(c);
+  c.user_id = 3;
+  const ClassifyBatchResponse overlay_user = frontend.classify_batch(c);
+  EXPECT_GE(interner.size(), vocabulary_before + 6 * 16);
+  EXPECT_TRUE(interner.find("zzzqfb" + letters(0)).has_value());
+
+  std::size_t changed = 0;
+  for (std::size_t i = 0; i < c.messages.size(); ++i) {
+    const email::Message parsed = email::parse_message(c.messages[i]);
+    const spambayes::TokenIdSet ids = base.message_token_ids(parsed);
+    const spambayes::ScoreIdResult want_overlay =
+        base.classifier().score_ids(base.database(), *overlay, ids);
+    EXPECT_EQ(base_user.results[i].score, base.classify_ids(ids).score) << i;
+    EXPECT_EQ(overlay_user.results[i].score, want_overlay.score) << i;
+    if (base_user.results[i].score != dropped[i]) ++changed;
+  }
+  // Dropping the unseen words would have moved the scores.
+  EXPECT_GT(changed, 0u);
+}
+
 // Classify traffic hammering one user while another user trains: the
 // reader must never block or crash, and scores must always correspond to
-// some published snapshot (here: just exercise it under TSan).
+// some published snapshot.
+//
+// The second half pins the snapshot-then-tokenize order. Each of many
+// users is trained once on a message whose appended words no vocabulary
+// holds, while two threads classify that same message for that user. Every
+// score must be the pre-train or the post-train score, both computed
+// beforehand: pre by classifying before the train (which interns nothing),
+// post through a twin user trained on the same message with different,
+// equally many novel words (every novel word then carries the same counts,
+// so the twin scores bit-identically). A classify that looked the words
+// up before a train interned them, then scored against the overlay that
+// train published, would produce neither.
 TEST(ServeFrontend, ConcurrentClassifyDuringTraining) {
   ServeFrontend frontend(build_base_filter(small_base()), {2, 4});
   const auto msgs = make_messages(3, 4);
@@ -149,6 +340,75 @@ TEST(ServeFrontend, ConcurrentClassifyDuringTraining) {
   trainer.join();
   classifier.join();
   EXPECT_EQ(frontend.stats().train_requests, 50u);
+
+  constexpr std::uint64_t kUsers = 32;
+  constexpr int kNovel = 12;
+  constexpr std::size_t kCopies = 8;
+  ServeFrontend ordered(build_base_filter(small_base()), {4, 2 * kUsers});
+  const std::vector<std::string> known = short_messages(kUsers, 51);
+  std::vector<std::string> real(kUsers);
+  std::vector<double> pre(kUsers);
+  std::vector<double> post(kUsers);
+  spambayes::TokenInterner& interner = spambayes::global_interner();
+  for (std::uint64_t u = 0; u < kUsers; ++u) {
+    real[u] = with_novel_words(known[u], "rl", u * kNovel, kNovel);
+    TrainRequest twin;
+    twin.user_id = kUsers + u;
+    twin.message = with_novel_words(known[u], "tw", u * kNovel, kNovel);
+    ordered.train(twin);
+    ClassifyBatchRequest c;
+    c.user_id = kUsers + u;
+    c.messages = {twin.message};
+    post[u] = ordered.classify_batch(c).results[0].score;
+    c.user_id = u;
+    c.messages = {real[u]};
+    pre[u] = ordered.classify_batch(c).results[0].score;
+    ASSERT_NE(pre[u], post[u]);
+  }
+  for (std::uint64_t n = 0; n < kUsers * kNovel; ++n) {
+    ASSERT_FALSE(interner.find("zzzqrl" + letters(n)).has_value());
+  }
+
+  // The trainer trains user u once a classifier is already hammering it.
+  std::vector<std::atomic<int>> started(kUsers);
+  std::atomic<std::size_t> bad{0};
+  std::thread feedback([&] {
+    for (std::uint64_t u = 0; u < kUsers; ++u) {
+      while (started[u].load() == 0) std::this_thread::yield();
+      TrainRequest t;
+      t.user_id = u;
+      t.message = real[u];
+      ordered.train(t);
+    }
+  });
+  const auto hammer = [&] {
+    for (std::uint64_t u = 0; u < kUsers; ++u) {
+      ClassifyBatchRequest c;
+      c.user_id = u;
+      c.messages.assign(kCopies, real[u]);
+      started[u].fetch_add(1);
+      for (;;) {
+        const std::vector<double> got = scores(ordered.classify_batch(c));
+        // One batch reads one snapshot, so its copies agree.
+        const bool as_pre = got == std::vector<double>(kCopies, pre[u]);
+        const bool as_post = got == std::vector<double>(kCopies, post[u]);
+        if (!as_pre && !as_post) bad.fetch_add(1);
+        if (!as_pre) break;
+      }
+    }
+  };
+  std::thread reader_a(hammer);
+  std::thread reader_b(hammer);
+  feedback.join();
+  reader_a.join();
+  reader_b.join();
+  EXPECT_EQ(bad.load(), 0u);
+  for (std::uint64_t u = 0; u < kUsers; ++u) {
+    ClassifyBatchRequest c;
+    c.user_id = u;
+    c.messages = {real[u]};
+    EXPECT_EQ(ordered.classify_batch(c).results[0].score, post[u]) << u;
+  }
 }
 
 // Train.copies is an unchecked u32 from the client, and classify sums base

@@ -6,6 +6,7 @@
 // pre-interning classifier/database (unordered_map<string, TokenCounts>,
 // string-sorted tie-break). Every comparison against it is EXPECT_EQ on
 // doubles — bitwise, not approximate.
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -15,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include "corpus/generator.h"
+#include "email/mime.h"
+#include "email/rfc2822.h"
 #include "eval/runner.h"
 #include "spambayes/filter.h"
 #include "util/random.h"
@@ -179,6 +182,204 @@ TEST(InternedEquivalence, TokenStreamsAreByteIdentical) {
     EXPECT_EQ(intern_tokens(unique_tokens(strings)),
               unique_token_ids(tok.tokenize_ids(msg)));
   }
+}
+
+// --- one-pass id set ---------------------------------------------------------
+
+std::string random_bytes(util::Rng& rng, std::size_t max_len) {
+  std::string s(rng.index(max_len + 1), '\0');
+  for (char& c : s) c = static_cast<char>(rng.uniform_int(0, 255));
+  return s;
+}
+
+/// The email robustness suite's fuzz inputs: structural fragments mixed
+/// with random bytes.
+std::string structured_fuzz(util::Rng& rng) {
+  static const char* kFragments[] = {
+      "From ",          "From: a@b\n",
+      "Content-Type: ", "multipart/mixed; boundary=",
+      "--",             "\r\n",
+      "\n\n",           "Content-Transfer-Encoding: base64\n",
+      "=3D",            "=\n",
+      ">From ",         "Subject: ",
+      ": no name\n",    "\tcontinuation\n",
+  };
+  std::string s;
+  const std::size_t pieces = 1 + rng.index(20);
+  for (std::size_t i = 0; i < pieces; ++i) {
+    if (rng.bernoulli(0.5)) {
+      s += kFragments[rng.index(std::size(kFragments))];
+    } else {
+      s += random_bytes(rng, 40);
+    }
+  }
+  return s;
+}
+
+/// Text built to reach every emitter branch: mixed-case words, bytes
+/// >= 0x80 inside and around words, over-length words with embedded
+/// punctuation, http/https/www URLs, long dotted header atoms. A nonce
+/// keeps some spellings novel to the interner on every call.
+std::string adversarial_text(util::Rng& rng, std::uint64_t nonce) {
+  static const char* kPieces[] = {
+      "Hello",       "WORLD",        "MiXeD",       "ab",
+      "'quoted'",    "--dash--",     "$$$money!!!", "(paren)",
+      "e-mail",      "\xc3\xa9t\xc3\xa9", "caf\xe9",   "\xff\xfe\x80",
+      "\x80word\x81", "http://Www.Example.COM/Path/To/Page.html",
+      "HTTPS://secure.example.org", "www.Spam-Site.biz/offer/now",
+      "http://", "https:///x//y", "<1234.5678.ABCDEFGH@mail.example.com>",
+      "Supercalifragilisticexpialidocious",
+      "word.with.many.dots.and.pieces.longer.than.twelve",
+      "UPPER_and_lower-and/slashes\\back", "\t", "\r\n", "\f\v",
+  };
+  std::string s;
+  const std::size_t pieces = 5 + rng.index(40);
+  for (std::size_t i = 0; i < pieces; ++i) {
+    switch (rng.index(4)) {
+      case 0:
+        s += kPieces[rng.index(std::size(kPieces))];
+        break;
+      case 1:
+        s += random_bytes(rng, 24);
+        break;
+      case 2:  // a novel word, sometimes over-length
+        s += "Nov" + std::to_string(nonce) + "x" +
+             std::to_string(rng.index(1'000'000)) +
+             std::string(rng.index(3) == 0 ? 14 : 0, 'Q');
+        break;
+      default:
+        s += "http://h" + std::to_string(nonce) + ".Example" +
+             std::to_string(rng.index(100)) + ".com/p" +
+             std::to_string(rng.index(100));
+        break;
+    }
+    s += rng.bernoulli(0.8) ? " " : "";
+  }
+  return s;
+}
+
+/// Messages for the one-pass equivalence test: generator ham and spam, the
+/// MIME extraction fixtures, the robustness fuzz inputs, and adversarial
+/// header/body text.
+std::vector<email::Message> one_pass_inputs() {
+  std::vector<email::Message> out;
+  const corpus::TrecLikeGenerator& gen = Corpus::generator();
+  util::Rng rng(2718);
+  for (int i = 0; i < 40; ++i) {
+    out.push_back(i % 2 == 0 ? gen.generate_ham(rng) : gen.generate_spam(rng));
+  }
+
+  static const char* kMime[] = {
+      "Subject: s\n\nplain body\n",
+      "Content-Type: multipart/alternative; boundary=BBB\n\npreamble\n"
+      "--BBB\nContent-Type: text/plain\n\nfirst part\n--BBB\n"
+      "Content-Type: text/html\n\n<p>second part</p>\n--BBB\n"
+      "Content-Type: image/png\nContent-Transfer-Encoding: base64\n\n"
+      "aWdub3JlZA==\n--BBB--\nepilogue\n",
+      "Content-Type: multipart/mixed; boundary=OUTER\n\n--OUTER\n"
+      "Content-Type: multipart/alternative; boundary=INNER\n\n--INNER\n"
+      "Content-Type: text/plain\n\nnested text\n--INNER--\n--OUTER--\n",
+      "Content-Type: multipart/mixed\n\nopaque\n",
+      "Content-Type: application/pdf\n\n%PDF-1.4\n",
+  };
+  for (const char* raw : kMime) out.push_back(email::parse_message(raw));
+  email::Message b64;
+  b64.add_header("Content-Transfer-Encoding", "base64");
+  b64.set_body(email::encode_base64("Decoded PAYLOAD http://b64.example/x"));
+  out.push_back(b64);
+  email::Message qp;
+  qp.add_header("Subject", "Re: =?utf-8?q?caf=C3=A9?= OFFER");
+  qp.add_header("Content-Transfer-Encoding", "quoted-printable");
+  qp.set_body(email::encode_quoted_printable("Soft=break caf\xe9 \xff" +
+                                             std::string(90, 'z')));
+  out.push_back(qp);
+
+  for (const std::uint64_t seed : {1u, 7u, 42u, 1234u}) {
+    util::Rng fuzz(seed + 1'000);
+    for (int round = 0; round < 50; ++round) {
+      out.push_back(email::parse_message(structured_fuzz(fuzz)));
+    }
+  }
+
+  for (std::uint64_t i = 0; i < 120; ++i) {
+    email::Message m;
+    m.add_header("Subject", adversarial_text(rng, i));
+    m.add_header("From", "\"Sender " + std::to_string(i) + "\" <" +
+                             adversarial_text(rng, i) + "@a.b>");
+    m.add_header("To", "x" + std::to_string(i) +
+                           "@very.long.header.atom.that.exceeds.twelve."
+                           "characters.example.com, (comment) " +
+                           random_bytes(rng, 30));
+    m.add_header("Reply-To", random_bytes(rng, 60));
+    m.set_body(adversarial_text(rng, i) + "\n" + random_bytes(rng, 200));
+    out.push_back(m);
+  }
+  return out;
+}
+
+// tokenize_id_set() against the string reference, for every flavor: under
+// kIntern its spellings are exactly unique_tokens(tokenize(m)) and novel
+// tokens get ids in first-emission order; under kLookupOnly it is that set
+// restricted to tokens find() already knew, and it interns nothing.
+TEST(InternedEquivalence, OnePassIdSetMatchesStringReference) {
+  TokenInterner& interner = global_interner();
+  const std::vector<email::Message> messages = one_pass_inputs();
+  const TokenizerOptions flavors[] = {TokenizerFlavors::spambayes(),
+                                      TokenizerFlavors::bogofilter(),
+                                      TokenizerFlavors::spamassassin()};
+  std::size_t novel_total = 0;
+  for (std::size_t f = 0; f < std::size(flavors); ++f) {
+    const Tokenizer tok(flavors[f]);
+    for (std::size_t i = 0; i < messages.size(); ++i) {
+      SCOPED_TRACE("flavor " + std::to_string(f) + " message " +
+                   std::to_string(i));
+      const email::Message& m = messages[i];
+      const TokenList stream = tok.tokenize(m);
+      const TokenSet expected = unique_tokens(stream);
+
+      // What the interner knows before this message, and the spellings it
+      // does not know in first-emission order.
+      TokenIdSet known;
+      std::vector<std::string> novel;
+      for (const std::string& t : stream) {
+        if (const auto id = interner.find(t)) {
+          known.push_back(*id);
+        } else if (std::find(novel.begin(), novel.end(), t) == novel.end()) {
+          novel.push_back(t);
+        }
+      }
+      known = unique_token_ids(std::move(known));
+
+      const std::size_t size_before = interner.size();
+      EXPECT_EQ(tok.tokenize_id_set(m, IdMode::kLookupOnly), known);
+      EXPECT_EQ(interner.size(), size_before);
+
+      const TokenIdSet ids = tok.tokenize_id_set(m, IdMode::kIntern);
+      ASSERT_EQ(interner.size(), size_before + novel.size());
+      for (std::size_t k = 0; k < novel.size(); ++k) {
+        EXPECT_EQ(interner.spelling(static_cast<TokenId>(size_before + k)),
+                  novel[k]);
+      }
+      EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+      TokenSet spellings;
+      TokenIdSet filtered;
+      for (const TokenId id : ids) {
+        spellings.emplace_back(interner.spelling(id));
+        if (id < size_before) filtered.push_back(id);
+      }
+      EXPECT_EQ(filtered, known);
+      std::sort(spellings.begin(), spellings.end());
+      EXPECT_EQ(spellings, expected);
+      EXPECT_EQ(ids, unique_token_ids(tok.tokenize_ids(m)));
+
+      const std::string body = email::extract_text(m);
+      EXPECT_EQ(tok.tokenize_text_id_set(body),
+                intern_tokens(unique_tokens(tok.tokenize_text(body))));
+      novel_total += novel.size();
+    }
+  }
+  // The inputs really exercised the novel-token path.
+  EXPECT_GT(novel_total, 1000u);
 }
 
 // --- classification equivalence --------------------------------------------

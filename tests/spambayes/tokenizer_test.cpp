@@ -3,6 +3,8 @@
 #include "spambayes/tokenizer.h"
 
 #include <algorithm>
+#include <cctype>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -208,6 +210,42 @@ TEST(Tokenizer, DeterministicAcrossCalls) {
   const char* text = "Some Mixed CASE text with http://a.example/x and "
                      "$500 offers!!!";
   EXPECT_EQ(tok.tokenize_text(text), tok.tokenize_text(text));
+}
+
+// The emitter's byte tables against the C library in the C locale (no
+// test calls setlocale): every byte value splits, strips, splits
+// over-length words and lower-cases exactly as std::isspace,
+// std::isalnum and std::tolower say.
+TEST(Tokenizer, ByteClassesAreTheCLocales) {
+  const Tokenizer tok;
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    SCOPED_TRACE("byte " + std::to_string(b));
+    const bool space = std::isspace(b) != 0;
+    const bool alnum = std::isalnum(b) != 0;
+    const bool word = alnum || c == '\'' || c == '-' || c == '$' || c == '!';
+    const char lower = static_cast<char>(std::tolower(b));
+
+    // Whitespace splits; anything else stays inside the chunk, lowered.
+    const std::string joined = std::string("xyz") + c + "uvw";
+    const TokenList split = tok.tokenize_text(joined);
+    if (space) {
+      EXPECT_EQ(split, (TokenList{"xyz", "uvw"}));
+    } else {
+      EXPECT_EQ(split, (TokenList{std::string("xyz") + lower + "uvw"}));
+    }
+
+    // strip_punct keeps exactly the word characters at the ends.
+    const std::string edged = std::string(1, c) + "abc" + c;
+    EXPECT_EQ(strip_punct(edged), word ? std::string_view(edged) : "abc");
+
+    // Over-length words split on non-alphanumerics.
+    if (space) continue;
+    const std::string longer = std::string("Abcdefgh") + c + "ijklmnop";
+    TokenList want = {"skip:a 10"};
+    if (!alnum) want.insert(want.end(), {"abcdefgh", "ijklmnop"});
+    EXPECT_EQ(tok.tokenize_text(longer), want);
+  }
 }
 
 }  // namespace
