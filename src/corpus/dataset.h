@@ -36,17 +36,15 @@ struct Dataset {
   std::size_t count(TrueLabel label) const;
 };
 
-/// A corpus message reduced to its deduplicated token set — the form the
-/// evaluation harness uses so each message is tokenized exactly once. The
-/// interned `ids` are the hot-path representation (train/untrain/classify);
-/// the string `tokens` are kept for reporting and legacy callers.
+/// A corpus message reduced to its deduplicated, ascending interned id
+/// set — the form the evaluation harness trains, untrains and classifies
+/// with, so each message is tokenized exactly once. Ids are the only token
+/// representation kept; TokenInterner::spelling() recovers a token's text.
 struct TokenizedMessage {
-  spambayes::TokenSet tokens;
   spambayes::TokenIdSet ids;
   TrueLabel label = TrueLabel::ham;
 
   TokenizedMessage() = default;
-  TokenizedMessage(spambayes::TokenSet tokens_in, TrueLabel label_in);
   TokenizedMessage(spambayes::TokenIdSet ids_in, TrueLabel label_in);
 };
 
@@ -54,15 +52,17 @@ struct TokenizedMessage {
 struct TokenizedDataset {
   std::vector<TokenizedMessage> items;
   /// Raw (with duplicates) token count over every message — the §4.2
-  /// token-ratio denominator, collected in the same pass as tokenization.
+  /// token-ratio denominator, counted in the same pass as tokenization.
   std::size_t raw_tokens = 0;
 
   std::size_t size() const { return items.size(); }
   std::size_t count(TrueLabel label) const;
 };
 
-/// Tokenizes every message with the given tokenizer (one pass per message;
-/// fills both the string sets, the interned id sets and raw_tokens).
+/// Tokenizes every message with one Tokenizer::tokenize_id_set() pass each
+/// (IdMode::kIntern), which yields the id set and the raw token count
+/// together; no per-token strings are built. Novel tokens are interned in
+/// first-emission order, message by message.
 TokenizedDataset tokenize_dataset(const Dataset& dataset,
                                   const spambayes::Tokenizer& tokenizer);
 

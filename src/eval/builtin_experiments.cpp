@@ -858,8 +858,8 @@ class RetrainingExperiment : public ExperimentBase {
     const corpus::TrecLikeGenerator generator;
     const auto [bound, spec] = resolve_attack(generator, config);
     const spambayes::Tokenizer tokenizer;
-    const spambayes::TokenSet attack_tokens =
-        spambayes::unique_tokens(tokenizer.tokenize(spec.message));
+    const spambayes::TokenIdSet attack_ids =
+        tokenizer.tokenize_id_set(spec.message);
 
     RetrainingConfig rc;
     rc.weeks = positive_uint(config, "weeks");
@@ -884,7 +884,7 @@ class RetrainingExperiment : public ExperimentBase {
     }
     AttackInjection injection(
         static_cast<std::size_t>(config.get_uint("attack_week")),
-        attack_tokens, copies);
+        attack_ids, copies);
     injection.label = spec.train_as;
     injection.trigger_ids = trigger_token_ids(spec, tokenizer);
     const std::vector<AttackInjection> injections = {injection};
@@ -1148,8 +1148,8 @@ class HamLabeledExperiment : public ExperimentBase {
     const util::Config attack_params = attack.default_params();
     const std::optional<core::CanonicalPoison> poison =
         attack.canonical_poison(generator, attack_params, rng);
-    const spambayes::TokenSet attack_tokens =
-        spambayes::unique_tokens(tokenizer.tokenize(poison->message));
+    const spambayes::TokenIdSet attack_ids =
+        tokenizer.tokenize_id_set(poison->message);
 
     ResultDoc doc = make_doc(config);
     tag_attack(doc, attack);
@@ -1162,7 +1162,7 @@ class HamLabeledExperiment : public ExperimentBase {
     // be, i.e. by its marginal impact on ham classification).
     core::RoniDefense roni({}, {});
     util::Rng roni_rng = rng.fork(1);
-    auto assessment = roni.assess(attack_tokens, tokenized, roni_rng);
+    auto assessment = roni.assess(attack_ids, tokenized, roni_rng);
     doc.report.push_back(strf(
         "RONI-style impact of one attack email on ham-as-ham: %.2f "
         "(threshold %.1f) -> %s",
@@ -1182,8 +1182,7 @@ class HamLabeledExperiment : public ExperimentBase {
     double last_ham_ok_pct = 0.0;
     for (std::uint64_t copies : config.get_uint_list("copies")) {
       spambayes::Filter filter = base;
-      filter.train_ham_tokens(attack_tokens,
-                              static_cast<std::uint32_t>(copies));
+      filter.train_ham_ids(attack_ids, static_cast<std::uint32_t>(copies));
       util::Rng probe_rng(991);  // identical probes per row
       std::size_t as_ham = 0, as_unsure = 0, ham_ok = 0;
       for (int i = 0; i < n; ++i) {

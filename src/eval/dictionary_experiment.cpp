@@ -55,12 +55,11 @@ DictionaryCurve run_dictionary_curve(const corpus::TrecLikeGenerator& gen,
   const std::size_t clean_tokens =
       tokenized.raw_tokens * (config.folds - 1) / config.folds;
 
-  // The raw token count of the attack message is the §4.2 numerator; its
-  // deduplicated ids feed training.
-  const std::size_t attack_tokens_per_message =
-      tokenizer.tokenize_ids(spec.message).size();
-  const spambayes::TokenIdSet attack_ids =
-      tokenizer.tokenize_id_set(spec.message);
+  // One pass over the attack message: its deduplicated ids feed training,
+  // and its raw token count is the §4.2 numerator.
+  std::size_t attack_tokens_per_message = 0;
+  const spambayes::TokenIdSet attack_ids = tokenizer.tokenize_id_set(
+      spec.message, spambayes::IdMode::kIntern, &attack_tokens_per_message);
   const bool train_as_spam = spec.train_as == corpus::TrueLabel::spam;
 
   // The BadNets trigger, as the ids stamping it onto a message produces.

@@ -32,9 +32,14 @@ ConfusionMatrix classify_indices(const spambayes::Filter& filter,
 
 std::size_t raw_token_count(const corpus::Dataset& data,
                             const spambayes::Tokenizer& tokenizer) {
+  // Counting needs no ids, so the pass only looks tokens up and leaves the
+  // interner as it found it.
   std::size_t total = 0;
   for (const auto& item : data.items) {
-    total += tokenizer.tokenize_ids(item.message).size();
+    std::size_t emitted = 0;
+    tokenizer.tokenize_id_set(item.message, spambayes::IdMode::kLookupOnly,
+                              &emitted);
+    total += emitted;
   }
   return total;
 }

@@ -106,10 +106,12 @@ class SeenSpellings {
     }
     entries_.clear();
     spellings_.clear();
+    emitted_ = 0;
   }
 
   /// Records `token` unless this message already emitted it.
   void insert(std::string_view token, std::size_t token_hash) {
+    ++emitted_;
     if ((entries_.size() + 1) * 2 > slots_.size()) grow();
     const std::size_t mask = slots_.size() - 1;
     for (std::size_t i = token_hash & mask;; i = (i + 1) & mask) {
@@ -126,6 +128,9 @@ class SeenSpellings {
   }
 
   const std::vector<Entry>& entries() const { return entries_; }
+
+  /// How many tokens insert() saw since reset(), repeats included.
+  std::size_t emitted() const { return emitted_; }
 
   std::string_view spelling(const Entry& entry) const {
     return std::string_view(spellings_).substr(entry.offset, entry.size);
@@ -151,6 +156,7 @@ class SeenSpellings {
   std::vector<Slot> slots_;
   std::vector<Entry> entries_;
   std::string spellings_;
+  std::size_t emitted_ = 0;
   std::uint32_t stamp_ = 0;
 };
 
@@ -173,8 +179,11 @@ struct SeenSink {
 /// kIntern assigns novel ids in that order. The lookups are independent,
 /// and each walks three dependent cache lines of the interner; prefetching
 /// those lines a few spellings ahead (TokenInterner::prefetch) overlaps
-/// the misses instead of paying them one after another.
-TokenIdSet resolve(const SeenSpellings& seen, IdMode mode) {
+/// the misses instead of paying them one after another. A non-null
+/// `emitted` receives the pass's raw token count.
+TokenIdSet resolve(const SeenSpellings& seen, IdMode mode,
+                   std::size_t* emitted) {
+  if (emitted != nullptr) *emitted = seen.emitted();
   constexpr std::size_t kAhead[] = {12, 6, 3};  // per prefetch level
   TokenInterner& interner = global_interner();
   const std::vector<SeenSpellings::Entry>& entries = seen.entries();
@@ -406,18 +415,19 @@ TokenIdList Tokenizer::tokenize_text_ids(std::string_view text) const {
   return out;
 }
 
-TokenIdSet Tokenizer::tokenize_id_set(const email::Message& msg,
-                                      IdMode mode) const {
+TokenIdSet Tokenizer::tokenize_id_set(const email::Message& msg, IdMode mode,
+                                      std::size_t* emitted) const {
   SeenSpellings& seen = seen_for_current_thread();
   Emitter<SeenSink>(opts_, SeenSink{&seen}).message(msg);
-  return resolve(seen, mode);
+  return resolve(seen, mode, emitted);
 }
 
 TokenIdSet Tokenizer::tokenize_text_id_set(std::string_view text,
-                                           IdMode mode) const {
+                                           IdMode mode,
+                                           std::size_t* emitted) const {
   SeenSpellings& seen = seen_for_current_thread();
   Emitter<SeenSink>(opts_, SeenSink{&seen}).text(text);
-  return resolve(seen, mode);
+  return resolve(seen, mode, emitted);
 }
 
 TokenSet unique_tokens(const TokenList& tokens) {

@@ -30,7 +30,10 @@
 //    intermediate stream. Each spelling is hashed once; that hash drives a
 //    per-message dedup, so repeats never reach the interner, and is handed
 //    to the interner for the first occurrence. Novel tokens are interned in
-//    first-emission order, as tokenize_ids() would intern them.
+//    first-emission order, as tokenize_ids() would intern them. The same
+//    pass counts the tokens it emits, duplicates included, for callers
+//    that need the raw count (the §4.2 token ratio); the others pass no
+//    counter.
 //    IdMode::kLookupOnly only looks tokens up and drops those the interner
 //    has never seen, so it never grows process-global state. That is the
 //    serving layer's classify path (Filter::classify_token_ids() decides
@@ -77,17 +80,21 @@ class Tokenizer {
   TokenList tokenize_text(std::string_view text) const;
 
   /// The same token stream as ids, every token interned (duplicates kept;
-  /// for callers that need the raw token count).
+  /// the reference the one-pass set is checked against).
   TokenIdList tokenize_ids(const email::Message& msg) const;
   TokenIdList tokenize_text_ids(std::string_view text) const;
 
   /// The message's deduplicated, ascending id set in one pass — equal to
   /// unique_token_ids(tokenize_ids(msg)) under IdMode::kIntern, and to
   /// that set restricted to already-interned tokens under kLookupOnly.
+  /// A non-null `emitted` receives tokenize(msg).size(), the raw token
+  /// count with duplicates (in either mode), counted in the same pass.
   TokenIdSet tokenize_id_set(const email::Message& msg,
-                             IdMode mode = IdMode::kIntern) const;
+                             IdMode mode = IdMode::kIntern,
+                             std::size_t* emitted = nullptr) const;
   TokenIdSet tokenize_text_id_set(std::string_view text,
-                                  IdMode mode = IdMode::kIntern) const;
+                                  IdMode mode = IdMode::kIntern,
+                                  std::size_t* emitted = nullptr) const;
 
   const TokenizerOptions& options() const { return opts_; }
 

@@ -2,11 +2,17 @@
 #include "corpus/dataset.h"
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "corpus/generator.h"
 #include "email/builder.h"
+#include "spambayes/options.h"
+#include "support/tokenizer_inputs.h"
 #include "util/error.h"
 
 namespace sbx::corpus {
@@ -37,20 +43,49 @@ TEST(Dataset, LabelNames) {
   EXPECT_EQ(to_string(TrueLabel::spam), "spam");
 }
 
-TEST(TokenizeDataset, PreservesLabelsAndDedupes) {
-  Dataset d = tiny_dataset(4);
-  spambayes::Tokenizer tok;
-  TokenizedDataset td = tokenize_dataset(d, tok);
-  ASSERT_EQ(td.size(), 4u);
-  EXPECT_EQ(td.count(TrueLabel::ham), 2u);
-  for (std::size_t i = 0; i < td.size(); ++i) {
-    EXPECT_EQ(td.items[i].label, d.items[i].label);
-    // Token sets are sorted and unique.
-    EXPECT_TRUE(std::is_sorted(td.items[i].tokens.begin(),
-                               td.items[i].tokens.end()));
-    EXPECT_EQ(std::adjacent_find(td.items[i].tokens.begin(),
-                                 td.items[i].tokens.end()),
-              td.items[i].tokens.end());
+// The one-pass corpus path against the string reference, for every
+// tokenizer flavor: labels carry over, each id set is ascending and
+// unique and spells exactly unique_tokens(tokenize(m)), and raw_tokens
+// counts every emitted token, duplicates included.
+TEST(TokenizeDataset, MatchesStringReference) {
+  util::Rng rng(4242);
+  const TrecLikeGenerator gen;
+  Dataset d = gen.sample_mailbox(60, 0.5, rng);
+  std::size_t n = 0;
+  for (email::Message& m : test_support::one_pass_inputs()) {
+    d.items.push_back(
+        {std::move(m), n++ % 2 == 0 ? TrueLabel::ham : TrueLabel::spam});
+  }
+
+  const spambayes::TokenInterner& interner = spambayes::global_interner();
+  const spambayes::TokenizerOptions flavors[] = {
+      spambayes::TokenizerFlavors::spambayes(),
+      spambayes::TokenizerFlavors::bogofilter(),
+      spambayes::TokenizerFlavors::spamassassin()};
+  for (std::size_t f = 0; f < std::size(flavors); ++f) {
+    const spambayes::Tokenizer tok(flavors[f]);
+    const TokenizedDataset td = tokenize_dataset(d, tok);
+    ASSERT_EQ(td.size(), d.size());
+    EXPECT_EQ(td.count(TrueLabel::ham), d.count(TrueLabel::ham));
+    std::size_t raw = 0;
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      SCOPED_TRACE("flavor " + std::to_string(f) + " message " +
+                   std::to_string(i));
+      const spambayes::TokenIdSet& ids = td.items[i].ids;
+      EXPECT_EQ(td.items[i].label, d.items[i].label);
+      EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end(),
+                                   std::greater_equal<>()),
+                ids.end());
+      const spambayes::TokenList stream = tok.tokenize(d.items[i].message);
+      spambayes::TokenSet spellings;
+      for (const spambayes::TokenId id : ids) {
+        spellings.emplace_back(interner.spelling(id));
+      }
+      std::sort(spellings.begin(), spellings.end());
+      EXPECT_EQ(spellings, spambayes::unique_tokens(stream));
+      raw += stream.size();
+    }
+    EXPECT_EQ(td.raw_tokens, raw);
   }
 }
 
