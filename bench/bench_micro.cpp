@@ -137,6 +137,7 @@ void BM_ClassifyMessage(benchmark::State& state) {
 }
 BENCHMARK(BM_ClassifyMessage);
 
+// Classifier::score_ids forwards to the thread's memoized ScoreEngine.
 void BM_ClassifyMessageInterned(benchmark::State& state) {
   sbx::util::Rng rng(4);
   const auto& gen = shared_generator();

@@ -423,7 +423,7 @@ class ObfuscationAttack : public AttackBase {
     EvadeResult result;
     result.message = message;
 
-    const spambayes::ScoreResult initial = ctx.filter.classify(message);
+    const spambayes::ScoreIdResult initial = ctx.filter.classify(message);
     result.queries = 1;
     result.score_before = initial.score;
     result.score_after = initial.score;
@@ -493,7 +493,7 @@ class ObfuscationAttack : public AttackBase {
       mangled.reserve(body.size() + result.words_added);
       for (const auto& chunk : chunks) mangled += chunk;
       result.message.set_body(std::move(mangled));
-      const spambayes::ScoreResult r = ctx.filter.classify(result.message);
+      const spambayes::ScoreIdResult r = ctx.filter.classify(result.message);
       result.queries += 1;
       result.score_after = r.score;
       if (verdict_at_most(r.verdict, ctx.goal)) {

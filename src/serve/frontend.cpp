@@ -104,20 +104,21 @@ ClassifyBatchResponse ServeFrontend::classify_batch(
 
   ClassifyBatchResponse response;
   response.results.resize(ids.size());
+  spambayes::ScoreEngine& engine =
+      spambayes::ScoreEngine::for_current_thread(base_.options().classifier);
   if (!overlay) {
     // Empty overlay: the base filter IS this user's model. Pump the
     // generation-cached zero-alloc batch path — bit-identical to the
     // batch experiments' classify path.
-    spambayes::ScoreEngine::for_current_thread(base_.options().classifier)
-        .score_ids_batch(
-            base_.database(), std::span<const spambayes::TokenIdList>(ids),
-            [&](std::size_t i, const spambayes::BatchScore& s) {
-              response.results[i] = {s.score, verdict_to_byte(s.verdict)};
-            });
+    engine.score_ids_batch(
+        base_.database(), std::span<const spambayes::TokenIdList>(ids),
+        [&](std::size_t i, const spambayes::BatchScore& s) {
+          response.results[i] = {s.score, verdict_to_byte(s.verdict)};
+        });
   } else {
     for (std::size_t i = 0; i < ids.size(); ++i) {
       const spambayes::ScoreIdResult r =
-          base_.classifier().score_ids(base_.database(), *overlay, ids[i]);
+          engine.score_ids(base_.database(), *overlay, ids[i]);
       response.results[i] = {r.score, verdict_to_byte(r.verdict)};
     }
   }

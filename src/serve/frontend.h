@@ -14,10 +14,10 @@
 //    experiments use;
 //  * a user whose overlay was trained on messages M classifies
 //    bit-identically to a standalone Filter copy trained on M — merged
-//    counts are exact uint32 sums, so Classifier::score_ids(base, overlay)
-//    sees the same doubles as a merged database would. A Train whose
-//    `copies` would carry base + overlay past UINT32_MAX is rejected
-//    before it is logged, so those sums never wrap;
+//    counts are exact uint32 sums, so ScoreEngine's overlay form (which
+//    leaves the thread engine's base memo warm) sees the same doubles as
+//    a merged database would. A Train whose `copies` would carry the
+//    base + overlay class totals past UINT32_MAX is rejected unlogged;
 //  * one classify batch reads one overlay snapshot: mutations that land
 //    mid-batch affect later requests, never a half-scored batch.
 //

@@ -92,7 +92,7 @@ struct ReplicatedApplyResult {
 class ModelShard {
  public:
   /// `base` holds the shared base's class totals; every train is checked
-  /// against them so base + overlay sums stay inside uint32 (see
+  /// against them so base + overlay class totals stay inside uint32 (see
   /// UserModel::prepare).
   explicit ModelShard(std::size_t user_count, BaseTotals base = {});
 

@@ -19,8 +19,8 @@ OverlaySnapshot UserModel::prepare(const spambayes::TokenIdSet& ids,
         "untrain: user has no trained messages (empty overlay)");
   }
   if (is_train) {
-    // Classify adds base and overlay counts in uint32; every per-token sum
-    // is bounded by its class total, so checking the total covers them all.
+    // Classify adds base and overlay counts in uint32: bound the summed
+    // class totals (SparseTokenDatabase::add guards the overlay's counts).
     const std::uint64_t total =
         std::uint64_t{as_spam ? base.spam : base.ham} +
         (current ? (as_spam ? current->spam_count() : current->ham_count())

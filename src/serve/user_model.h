@@ -9,8 +9,8 @@
 // per-user bytes beyond the slot itself. The first train/untrain call
 // materializes a private SparseTokenDatabase holding only that user's
 // feedback; classification merges it with the base on the fly
-// (Classifier's overlay-aware score_ids), which is bit-identical to a
-// standalone filter trained on base + overlay messages.
+// (ScoreEngine's overlay form, score_ids(base, overlay, ids)), which is
+// bit-identical to a standalone filter trained on base + overlay messages.
 //
 // Cost: an overlay is a flat hash table of the tokens this user trained,
 // so its memory and the copy each mutation makes are O(this user's

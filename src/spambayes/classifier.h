@@ -1,19 +1,15 @@
 // sbx/spambayes/classifier.h
 //
-// The Robinson/Fisher scoring core of SpamBayes (paper §2.3, Eq. 1-4):
-// per-token spam scores smoothed toward a prior, combined across the most
-// significant tokens with Fisher's method, thresholded into
-// ham / unsure / spam.
-//
-// Two entry points share one arithmetic core and produce bit-identical
-// scores:
-//  * score_ids() — the hot path. Runs entirely over interned id arrays:
-//    per-token counts are indexed loads, no string hashing, no per-token
-//    allocation. Token spellings are consulted only to break an exact
-//    score-distance tie deterministically (rare, lock-free lookup).
-//  * score() — the string-set wrapper, kept for the public API and tests.
-//    Evidence entries carry spellings and appear in the input (sorted
-//    string) order, exactly as before the interning refactor.
+// The SpamBayes classifier's public face (paper §2.3): its options, the
+// per-token score f(w) of Eq. 1-2, and the ham / unsure / spam cutoffs
+// applied to I(E). Scoring a message forwards to the calling thread's
+// ScoreEngine (score_engine.h), the one implementation of delta(E)
+// selection and Fisher's method:
+//  * score_ids(db, ids) — interned ids against a TokenDatabase;
+//  * score_ids(base, overlay, ids) — against a base plus a per-user
+//    sparse overlay (the serving layer's users with feedback);
+//  * score(db, tokens) — a string set, interned in input order; evidence
+//    entries carry spellings and follow the input order.
 #pragma once
 
 #include <string>
@@ -87,27 +83,17 @@ class Classifier {
   /// f(w) for an interned token (the hot-path form).
   double token_score(const TokenDatabase& db, TokenId id) const;
 
-  /// Scores a deduplicated token set; fills the full breakdown.
+  /// Scores a deduplicated token set; fills the full breakdown. Interns
+  /// every token (the interner grows with each unseen spelling).
   ScoreResult score(const TokenDatabase& db, const TokenSet& tokens) const;
 
-  /// Scores a deduplicated id set. `ids` may be in any order (the score is
-  /// order-independent; evidence entries follow the input order). The
-  /// deterministic tie-break compares interned spellings, never raw id
-  /// values, so results do not depend on interning order.
+  /// ScoreEngine::score_ids(db, ids) on the calling thread's engine.
   ScoreIdResult score_ids(const TokenDatabase& db,
                           const TokenIdList& ids) const;
 
-  /// Overlay-aware scoring view: scores `ids` against the virtual merge of
-  /// a shared immutable `base` database and a per-user sparse `overlay`
-  /// delta, without materializing the merge. Per-token counts are the
-  /// uint32 sums base + overlay and the class totals NS/NH are summed the
-  /// same way — exactly the values a database trained on both message sets
-  /// would hold (counts are additive, TokenDatabase::merge does the same
-  /// additions) — so every score is bit-identical to score_ids() on such a
-  /// merged database. The caller keeps the sums inside uint32 (the serving
-  /// layer rejects a mutation that would pass UINT32_MAX). This is the
-  /// serving layer's classify path for users with a non-empty
-  /// copy-on-write overlay (src/serve/).
+  /// ScoreEngine::score_ids(base, overlay, ids) on the calling thread's
+  /// engine: bit-identical to score_ids() on a database trained on base's
+  /// and overlay's message sets together.
   ScoreIdResult score_ids(const TokenDatabase& base,
                           const SparseTokenDatabase& overlay,
                           const TokenIdList& ids) const;

@@ -80,8 +80,8 @@ void Filter::untrain_spam_ids(const TokenIdSet& ids, std::uint32_t copies) {
   db_.untrain_spam_ids(ids, copies);
 }
 
-ScoreResult Filter::classify(const email::Message& msg) const {
-  return classifier_.score(db_, message_tokens(msg));
+ScoreIdResult Filter::classify(const email::Message& msg) const {
+  return classify_ids(classify_token_ids(msg));
 }
 
 ScoreResult Filter::classify_tokens(const TokenSet& tokens) const {

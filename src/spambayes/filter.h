@@ -14,8 +14,9 @@
 // Hot paths: the *_ids methods operate on interned TokenIdSet message
 // representations (see interner.h) — tokenize a message once with
 // message_token_ids() (train) or classify_token_ids() (classify), then
-// train/untrain/classify with pure id arrays. The string-set methods are
-// thin wrappers kept for API compatibility.
+// train/untrain/classify with pure id arrays. Every classify method scores
+// through the calling thread's ScoreEngine (score_engine.h); the
+// string-set methods are thin wrappers that intern and forward.
 #pragma once
 
 #include <cstdint>
@@ -65,10 +66,11 @@ class Filter {
   void untrain_ham_ids(const TokenIdSet& ids, std::uint32_t copies = 1);
   void untrain_spam_ids(const TokenIdSet& ids, std::uint32_t copies = 1);
 
-  /// Scores and labels a message.
-  ScoreResult classify(const email::Message& msg) const;
+  /// Scores and labels a message: classify_ids(classify_token_ids(msg)).
+  ScoreIdResult classify(const email::Message& msg) const;
 
-  /// Scores a pre-tokenized message.
+  /// Scores a pre-tokenized message. Unlike classify(), interns every
+  /// token (Classifier::score): keep it off untrusted input.
   ScoreResult classify_tokens(const TokenSet& tokens) const;
 
   /// Scores a pre-interned message — bit-identical score/verdict to the

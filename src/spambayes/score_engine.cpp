@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
 #include "spambayes/scoring_math.h"
 #include "util/error.h"
@@ -22,6 +21,12 @@ std::uint64_t spelling_prefix(std::string_view spelling) {
            << (56 - 8 * i);
   }
   return key;
+}
+
+ScoreIdResult to_result(const BatchScore& scored,
+                        std::vector<TokenIdEvidence> evidence) {
+  return {scored.score,       scored.spam_evidence, scored.ham_evidence,
+          scored.tokens_used, scored.verdict,       std::move(evidence)};
 }
 
 }  // namespace
@@ -68,16 +73,84 @@ const ScoreEngine::TokenMemo& ScoreEngine::memo_for(const TokenDatabase& db,
     m.distance = detail::neutral_distance(f);
     m.strong = detail::is_discriminator(m.distance, opts_);
     if (m.strong) {
-      // Identical clamp + libm calls to Classifier's combine step, just
-      // evaluated once per (token, generation) instead of per message.
-      const double clamped = std::clamp(f, 1e-300, 1.0 - 1e-15);
-      m.log_f = std::log(clamped);
-      m.log_1mf = std::log1p(-clamped);
+      m.terms = detail::fisher_terms(f);
       m.spell_prefix = spelling_prefix(global_interner().spelling(id));
     }
     m.epoch = epoch_;
   }
   return m;
+}
+
+ScoreEngine::DistanceKey ScoreEngine::distance_key(double distance) {
+  return ~std::bit_cast<std::uint64_t>(distance);
+}
+
+ScoreEngine::SortKey ScoreEngine::sort_key(double distance,
+                                           std::uint64_t spell_prefix) {
+  return (static_cast<SortKey>(distance_key(distance)) << 64) | spell_prefix;
+}
+
+template <typename Key, typename LogTerms>
+void ScoreEngine::select_and_combine(std::vector<Candidate<Key>>& candidates,
+                                     std::span<TokenIdEvidence> evidence,
+                                     BatchScore& out,
+                                     const LogTerms& log_terms) {
+  // Delta(E): up to max_discriminators candidates in the strict total
+  // order (distance desc, spelling asc). One packed-integer compare stands
+  // in for the (distance, spelling) pair (see SortKey; distance ties are
+  // common in small corpora and full string compares are the expensive
+  // part of the sort); equal keys fall back to the interner. Because the
+  // order is strict and total, nth_element + a prefix sort picks exactly
+  // the prefix a full sort would, and the summation order below, and with
+  // it every bit of the score, does not depend on input order.
+  const TokenInterner& interner = global_interner();
+  const auto stronger = [&](const Candidate<Key>& a,
+                            const Candidate<Key>& b) {
+    if (a.key != b.key) return a.key < b.key;
+    return interner.spelling(evidence[a.index].id) <
+           interner.spelling(evidence[b.index].id);
+  };
+  if (candidates.size() > opts_.max_discriminators) {
+    const auto cut = candidates.begin() +
+                     static_cast<std::ptrdiff_t>(opts_.max_discriminators);
+    std::nth_element(candidates.begin(), cut, candidates.end(), stronger);
+    candidates.resize(opts_.max_discriminators);
+  }
+  std::sort(candidates.begin(), candidates.end(), stronger);
+
+  const std::size_t n = candidates.size();
+  out.tokens_used = n;
+  out.evidence = evidence;
+  if (n == 0) {
+    // No evidence: I = 0.5, which the default thresholds call unsure.
+    out.score = 0.5;
+    out.spam_evidence = out.ham_evidence = 0.5;
+    out.verdict = Classifier::verdict_for(out.score, opts_.ham_cutoff,
+                                          opts_.spam_cutoff);
+    return;
+  }
+
+  double sum_log_f = 0.0;
+  double sum_log_1mf = 0.0;
+  for (const Candidate<Key>& candidate : candidates) {
+    TokenIdEvidence& ev = evidence[candidate.index];
+    ev.used = true;
+    const detail::FisherTerms terms = log_terms(ev);
+    sum_log_f += terms.log_f;
+    sum_log_1mf += terms.log_1mf;
+  }
+
+  // Eq. 4 (survival form): H = Q(-2 sum log f; 2n), S = Q(-2 sum log(1-f)).
+  // The pair form interleaves the two independent Erlang folds
+  // (bit-identical to two single calls, roughly half the wall clock).
+  double h;
+  double s;
+  util::chi2q_even_dof_pair(-2.0 * sum_log_f, -2.0 * sum_log_1mf, n, &h, &s);
+  out.spam_evidence = h;
+  out.ham_evidence = s;
+  out.score = (1.0 + h - s) / 2.0;  // Eq. 3
+  out.verdict = Classifier::verdict_for(out.score, opts_.ham_cutoff,
+                                        opts_.spam_cutoff);
 }
 
 void ScoreEngine::score_into(const TokenDatabase& db, const TokenIdList& ids,
@@ -88,68 +161,14 @@ void ScoreEngine::score_into(const TokenDatabase& db, const TokenIdList& ids,
     const TokenMemo& m = memo_for(db, id);
     evidence_.push_back({id, m.f, false});
     if (m.strong) {
-      const SortKey key =
-          (static_cast<SortKey>(~std::bit_cast<std::uint64_t>(m.distance))
-           << 64) |
-          m.spell_prefix;
-      candidates_.push_back(
-          {key, static_cast<std::uint32_t>(evidence_.size() - 1)});
+      candidates_.push_back({sort_key(m.distance, m.spell_prefix),
+                             static_cast<std::uint32_t>(evidence_.size() - 1)});
     }
   }
-
-  // Delta(E) selection in the exact (distance desc, spelling asc) total
-  // order Classifier uses — one packed-integer compare stands in for the
-  // (distance, spelling) pair (see Candidate::key; distance ties are
-  // common in small corpora and full string compares are the expensive
-  // part of the sort), and only a prefix collision falls back to the
-  // interner. Same strict total order, so the selected set, its order,
-  // and with it every floating-point summation are identical.
-  const TokenInterner& interner = global_interner();
-  const auto stronger = [&](const Candidate& a, const Candidate& b) {
-    if (a.key != b.key) return a.key < b.key;
-    return interner.spelling(evidence_[a.index].id) <
-           interner.spelling(evidence_[b.index].id);
-  };
-  if (candidates_.size() > opts_.max_discriminators) {
-    const auto cut = candidates_.begin() +
-                     static_cast<std::ptrdiff_t>(opts_.max_discriminators);
-    std::nth_element(candidates_.begin(), cut, candidates_.end(), stronger);
-    candidates_.resize(opts_.max_discriminators);
-    std::sort(candidates_.begin(), candidates_.end(), stronger);
-  } else {
-    std::sort(candidates_.begin(), candidates_.end(), stronger);
-  }
-
-  const std::size_t n = candidates_.size();
-  out.tokens_used = n;
-  if (n == 0) {
-    out.score = 0.5;
-    out.spam_evidence = out.ham_evidence = 0.5;
-    out.verdict = Classifier::verdict_for(out.score, opts_.ham_cutoff,
-                                          opts_.spam_cutoff);
-    out.evidence = {evidence_.data(), evidence_.size()};
-    return;
-  }
-
-  double sum_log_f = 0.0;
-  double sum_log_1mf = 0.0;
-  for (const Candidate& candidate : candidates_) {
-    TokenIdEvidence& ev = evidence_[candidate.index];
-    ev.used = true;
-    const TokenMemo& m = memo_[ev.id];  // filled above, same epoch
-    sum_log_f += m.log_f;
-    sum_log_1mf += m.log_1mf;
-  }
-
-  double h;
-  double s;
-  util::chi2q_even_dof_pair(-2.0 * sum_log_f, -2.0 * sum_log_1mf, n, &h, &s);
-  out.spam_evidence = h;
-  out.ham_evidence = s;
-  out.score = (1.0 + h - s) / 2.0;
-  out.verdict = Classifier::verdict_for(out.score, opts_.ham_cutoff,
-                                        opts_.spam_cutoff);
-  out.evidence = {evidence_.data(), evidence_.size()};
+  select_and_combine(candidates_, evidence_, out,
+                     [&](const TokenIdEvidence& ev) {
+                       return memo_[ev.id].terms;  // filled above, same epoch
+                     });
 }
 
 ScoreIdResult ScoreEngine::score_ids(const TokenDatabase& db,
@@ -157,14 +176,43 @@ ScoreIdResult ScoreEngine::score_ids(const TokenDatabase& db,
   bind(db);
   BatchScore scored;
   score_into(db, ids, scored);
-  ScoreIdResult result;
-  result.score = scored.score;
-  result.spam_evidence = scored.spam_evidence;
-  result.ham_evidence = scored.ham_evidence;
-  result.tokens_used = scored.tokens_used;
-  result.verdict = scored.verdict;
-  result.evidence.assign(scored.evidence.begin(), scored.evidence.end());
-  return result;
+  return to_result(scored, {scored.evidence.begin(), scored.evidence.end()});
+}
+
+ScoreIdResult ScoreEngine::score_ids(const TokenDatabase& base,
+                                     const SparseTokenDatabase& overlay,
+                                     const TokenIdList& ids) {
+  // uint32 sums, then the uint32 -> double conversion bind() performs:
+  // bit-identical inputs to score_from_counts versus a database trained on
+  // base's and overlay's message sets together. The memo is neither read
+  // nor rebound (merged totals move every token's f), so the base memo
+  // stays warm for the next empty-overlay user on this thread.
+  const double ns =
+      static_cast<double>(base.spam_count() + overlay.spam_count());
+  const double nh = static_cast<double>(base.ham_count() + overlay.ham_count());
+  std::vector<TokenIdEvidence> evidence;
+  evidence.reserve(ids.size());
+  overlay_candidates_.clear();
+  for (TokenId id : ids) {
+    const TokenCounts b = base.counts(id);
+    const TokenCounts o = overlay.counts(id);
+    const double f = detail::score_from_counts(
+        {b.spam + o.spam, b.ham + o.ham}, ns, nh, opts_);
+    evidence.push_back({id, f, false});
+    const double distance = detail::neutral_distance(f);
+    if (detail::is_discriminator(distance, opts_)) {
+      overlay_candidates_.push_back(
+          {distance_key(distance),
+           static_cast<std::uint32_t>(evidence.size() - 1)});
+    }
+  }
+  BatchScore scored;
+  select_and_combine(overlay_candidates_, evidence, scored,
+                     [](const TokenIdEvidence& ev) {
+                       // Selected tokens only.
+                       return detail::fisher_terms(ev.score);
+                     });
+  return to_result(scored, std::move(evidence));
 }
 
 ScoreEngine& ScoreEngine::for_current_thread(const ClassifierOptions& opts) {

@@ -1,20 +1,18 @@
 // sbx/spambayes/score_engine.h
 //
-// Generation-cached batch scoring engine. Classifier::score_ids recomputes
-// Eq. 1-2 and the per-discriminator log(f)/log1p(-f) pair for every token
-// of every message, yet the underlying TokenDatabase only changes at
-// discrete training events — across an experiment's classify loops the
-// same libm transcendentals are evaluated thousands of times on identical
-// inputs. ScoreEngine memoizes them once per (token, database generation):
-// a flat vector indexed by TokenId holds each token's smoothed probability
-// f, its precomputed log(f) and log1p(-f), its distance from 0.5 and a
-// passes-minimum_prob_strength flag. The memoized values are the *same*
-// libm calls Classifier would make, evaluated once instead of once per
-// occurrence per message, and the Fisher combination consumes them in the
-// exact candidate order Classifier uses — so every score, evidence entry
-// and verdict is bit-identical to Classifier::score_ids by construction
-// (tests/spambayes/score_engine_test.cpp holds this to EXPECT_EQ on
-// doubles).
+// The SpamBayes scoring core (paper §2.3, Eq. 1-4): the only code that
+// selects delta(E) and runs the Fisher combination. Classifier forwards
+// here. Two forms share one selection and combine routine:
+//  * score_ids(db, ids) and score_batch memoize per (token, database
+//    generation) — each token's f, log(f), log1p(-f), distance from 0.5
+//    and discriminator flag — since a database only changes at training
+//    events, so the libm calls run once per token, not per message;
+//  * score_ids(base, overlay, ids) scores a base plus a per-user sparse
+//    overlay. Merged class totals move every token's f, so it neither
+//    reads nor rebinds the memo and takes logs for selected tokens only.
+// Per-token arithmetic is scoring_math.h's, so a memoized value carries
+// the bits a fresh one would; tests/spambayes/score_engine_test.cpp holds
+// both forms to EXPECT_EQ on doubles against an independent reference.
 //
 // Invalidation contract: TokenDatabase::generation() values are process-
 // globally unique per mutation, so `generation() == cached` proves the
@@ -39,6 +37,8 @@
 #include "spambayes/classifier.h"
 #include "spambayes/interner.h"
 #include "spambayes/options.h"
+#include "spambayes/scoring_math.h"
+#include "spambayes/sparse_token_db.h"
 #include "spambayes/token_db.h"
 
 namespace sbx::spambayes {
@@ -57,15 +57,24 @@ struct BatchScore {
   std::span<const TokenIdEvidence> evidence;  // in input-id order
 };
 
-/// Memoizing scorer. Bit-identical to Classifier::score_ids for any
-/// database/options; owns per-token memo + per-message scratch buffers.
+/// The scorer; owns the per-token memo and per-message scratch buffers.
 class ScoreEngine {
  public:
   explicit ScoreEngine(ClassifierOptions opts = {});
 
-  /// Scores one deduplicated id set; drop-in for Classifier::score_ids
-  /// (same result type, same bits, same evidence order).
+  /// Scores one deduplicated id set. `ids` may be in any order (the score
+  /// is order-independent; evidence entries follow the input order). The
+  /// deterministic tie-break compares interned spellings, never raw id
+  /// values, so results do not depend on interning order.
   ScoreIdResult score_ids(const TokenDatabase& db, const TokenIdList& ids);
+
+  /// Scores `ids` against base + overlay without materializing the merge:
+  /// counts and NS/NH are uint32 sums (the caller keeps them from
+  /// wrapping), so the bits equal score_ids() on a database trained on
+  /// both message sets. Leaves the memo and cached_generation() alone.
+  ScoreIdResult score_ids(const TokenDatabase& base,
+                          const SparseTokenDatabase& overlay,
+                          const TokenIdList& ids);
 
   /// Zero-allocation batch path: scores ids_of(i) for i in [0, count) and
   /// calls sink(i, const BatchScore&) for each. ids_of must return a
@@ -104,28 +113,28 @@ class ScoreEngine {
 
   const ClassifierOptions& options() const { return opts_; }
 
-  /// Generation of the last database this engine scored against (0 =
-  /// none yet). Exposed for tests of the invalidation contract.
+  /// Generation of the last database the memo was bound to (0 = none
+  /// yet; the overlay form never binds). Exposed for tests of the
+  /// invalidation contract.
   std::uint64_t cached_generation() const { return generation_; }
 
-  /// The calling thread's engine, rebound to `opts`. Filter::classify_ids
-  /// and Filter::classify_batch route through this, which keeps a shared
-  /// const Filter safely classifiable from any number of threads.
+  /// The calling thread's engine, rebound to `opts`. Filter, Classifier
+  /// and the serving layer route through this, which keeps a shared const
+  /// Filter safely classifiable from any number of threads.
   static ScoreEngine& for_current_thread(const ClassifierOptions& opts);
 
  private:
   /// Memoized per-token values, exact for the bound (generation, options)
-  /// pair iff epoch == engine epoch. log_f/log_1mf are only meaningful
-  /// when strong (weak tokens are never selected into delta(E));
-  /// spell_prefix is the spelling's first 8 bytes as a big-endian integer,
-  /// so the tie-break comparator resolves almost every spelling
-  /// comparison with one integer compare (equal prefixes fall back to the
-  /// full string, preserving the exact (distance desc, spelling asc)
-  /// total order the Classifier uses).
+  /// pair iff epoch == engine epoch. terms and spell_prefix are only
+  /// meaningful when strong (weak tokens are never selected into
+  /// delta(E)); spell_prefix is the spelling's first 8 bytes as a
+  /// big-endian integer, so the tie-break comparator resolves almost every
+  /// spelling comparison with one integer compare (equal prefixes fall
+  /// back to the full string, preserving the exact (distance desc,
+  /// spelling asc) total order).
   struct TokenMemo {
     double f = 0.5;
-    double log_f = 0.0;
-    double log_1mf = 0.0;
+    detail::FisherTerms terms;
     double distance = 0.0;
     std::uint64_t spell_prefix = 0;
     std::uint64_t epoch = 0;  // 0 never matches (engine epochs start at 1)
@@ -137,16 +146,21 @@ class ScoreEngine {
   /// distance's IEEE-754 bits (distance >= 0, so raw bits order doubles
   /// numerically and the complement flips the direction), the low lane
   /// the big-endian 8-byte spelling prefix. Ascending key order is then
-  /// exactly the Classifier's (distance desc, spelling asc) total order,
-  /// except for prefix collisions, which the comparator resolves with a
-  /// full spelling comparison.
+  /// exactly the (distance desc, spelling asc) total order, except for
+  /// equal keys, which the comparator resolves with a full spelling
+  /// comparison.
   // GCC/Clang extension; __extension__ silences -Wpedantic (the build has
   // no 128-bit-free fallback need on the supported toolchains).
   __extension__ typedef unsigned __int128 SortKey;
 
+  /// The overlay form's key: the high lane alone (a zero prefix), so
+  /// distance ties go to the full spelling compare and no other reads one.
+  using DistanceKey = std::uint64_t;
+
+  template <typename Key>
   struct Candidate {
-    SortKey key;
-    std::uint32_t index;  // into evidence_
+    Key key;
+    std::uint32_t index;  // into the message's evidence
   };
 
   /// Re-syncs to db's generation, invalidating the memo when it moved.
@@ -158,9 +172,19 @@ class ScoreEngine {
   /// The memo entry for `id`, filled on first use this epoch.
   const TokenMemo& memo_for(const TokenDatabase& db, TokenId id);
 
+  static DistanceKey distance_key(double distance);
+  static SortKey sort_key(double distance, std::uint64_t spell_prefix);
+
   /// Scores one message into `out` using the memo + scratch buffers.
   void score_into(const TokenDatabase& db, const TokenIdList& ids,
                   BatchScore& out);
+
+  /// Selects delta(E) from `candidates`, marks it used in `evidence` and
+  /// fills `out` by Fisher's method, taking log_terms(ev) per selected ev.
+  template <typename Key, typename LogTerms>
+  void select_and_combine(std::vector<Candidate<Key>>& candidates,
+                          std::span<TokenIdEvidence> evidence, BatchScore& out,
+                          const LogTerms& log_terms);
 
   ClassifierOptions opts_;
   std::vector<TokenMemo> memo_;  // indexed by TokenId
@@ -170,7 +194,8 @@ class ScoreEngine {
   double nh_ = 0.0;
   // Per-message scratch, reused across the whole batch:
   std::vector<TokenIdEvidence> evidence_;
-  std::vector<Candidate> candidates_;
+  std::vector<Candidate<SortKey>> candidates_;
+  std::vector<Candidate<DistanceKey>> overlay_candidates_;
 };
 
 }  // namespace sbx::spambayes

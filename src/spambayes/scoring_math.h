@@ -1,13 +1,14 @@
 // sbx/spambayes/scoring_math.h
 //
-// The single definition of Eq. 1-2 (per-token spam score smoothed toward
-// the prior) shared by Classifier and ScoreEngine. Both evaluate the exact
-// same sequence of floating-point operations, which is what lets the
-// engine memoize per-token values and still produce bit-identical message
-// scores (tests/spambayes/score_engine_test.cpp holds it to EXPECT_EQ on
-// doubles).
+// The per-token arithmetic of SpamBayes scoring (paper §2.3): Eq. 1-2
+// (the spam score smoothed toward the prior), the delta(E) eligibility
+// test and the Fisher log terms. ScoreEngine is the only scorer; its
+// memoized base path and its overlay path both call these functions, so
+// the two evaluate the same floating-point operations and a memoized
+// value carries the bits a fresh call would return.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 
 #include "spambayes/options.h"
@@ -40,6 +41,19 @@ inline double neutral_distance(double f) { return std::fabs(f - 0.5); }
 /// strictly outside [0.5 - strength, 0.5 + strength].
 inline bool is_discriminator(double distance, const ClassifierOptions& opts) {
   return distance > opts.minimum_prob_strength;
+}
+
+/// One selected token's contribution to Fisher's method (Eq. 4).
+struct FisherTerms {
+  double log_f = 0.0;
+  double log_1mf = 0.0;
+};
+
+/// log f and log(1 - f). f is inside (0,1) when s > 0; the clamp keeps a
+/// degenerate configuration (s == 0) from taking log(0).
+inline FisherTerms fisher_terms(double f) {
+  const double clamped = std::clamp(f, 1e-300, 1.0 - 1e-15);
+  return {std::log(clamped), std::log1p(-clamped)};
 }
 
 /// Whether a token absent from every database can enter delta(E). Its

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <istream>
 #include <limits>
-#include <ostream>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -75,9 +72,21 @@ void SparseTokenDatabase::add(const TokenIdSet& ids, std::uint32_t copies,
         "SparseTokenDatabase: training would overflow the uint32 class "
         "total");
   }
-  for (TokenId id : ids) {
-    TokenCounts& c = find_or_insert(id).counts;
-    (spam ? c.spam : c.ham) += copies;
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    TokenCounts& c = find_or_insert(ids[k]).counts;
+    std::uint32_t& n = spam ? c.spam : c.ham;
+    if ((n += copies) >= copies) continue;
+    // Wrapped (see TokenDatabase::add). Undo this increment first, as the
+    // slot may read as empty, then the earlier ones, and throw.
+    n -= copies;
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t i = index_of(ids[j]);
+      (spam ? slots_[i].counts.spam : slots_[i].counts.ham) -= copies;
+      if (is_empty(slots_[i])) erase_at(i);
+    }
+    throw InvalidArgument(
+        "SparseTokenDatabase: training would overflow the uint32 count of '" +
+        std::string(global_interner().spelling(ids[k])) + "'");
   }
   total += copies;
   generation_ = TokenDatabase::next_generation();
@@ -138,45 +147,15 @@ void SparseTokenDatabase::save(std::ostream& out) const {
   for (const Slot& s : slots_) {
     if (!is_empty(s)) entries.emplace_back(interner.spelling(s.id), s.counts);
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  out << "SBXDB 1\n" << nspam_ << ' ' << nham_ << '\n';
-  for (const auto& [token, c] : entries) {
-    out << c.spam << ' ' << c.ham << ' ' << token << '\n';
-  }
+  detail::write_sbxdb(out, nspam_, nham_, std::move(entries));
 }
 
 SparseTokenDatabase SparseTokenDatabase::load(std::istream& in) {
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version) || magic != "SBXDB" || version != 1) {
-    throw ParseError("SparseTokenDatabase: bad header");
-  }
   SparseTokenDatabase db;
-  if (!(in >> db.nspam_ >> db.nham_)) {
-    throw ParseError("SparseTokenDatabase: bad counts line");
-  }
-  std::string line;
-  std::getline(in, line);  // consume rest of counts line
-  TokenInterner& interner = global_interner();
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    TokenCounts c;
-    if (!(ls >> c.spam >> c.ham)) {
-      throw ParseError("SparseTokenDatabase: bad token line: " + line);
-    }
-    std::string token;
-    std::getline(ls, token);
-    if (!token.empty() && token.front() == ' ') token.erase(0, 1);
-    if (token.empty()) {
-      throw ParseError("SparseTokenDatabase: empty token in line: " + line);
-    }
-    if (c.spam == 0 && c.ham == 0) {
-      throw ParseError("SparseTokenDatabase: zero-count token: " + token);
-    }
-    db.find_or_insert(interner.intern(token)).counts = c;
-  }
+  detail::read_sbxdb(in, "SparseTokenDatabase", db.nspam_, db.nham_,
+                     [&db](TokenId id, TokenCounts c) {
+                       db.find_or_insert(id).counts = c;
+                     });
   db.generation_ = TokenDatabase::next_generation();
   return db;
 }

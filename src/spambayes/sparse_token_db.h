@@ -48,8 +48,8 @@ class SparseTokenDatabase {
 
   /// Records `copies` spam (ham) emails, each containing exactly the tokens
   /// in `ids` (a deduplicated id set). Throws InvalidArgument, changing
-  /// nothing, when the class total would exceed UINT32_MAX (a per-token
-  /// count never exceeds its class total, so no token count can wrap).
+  /// neither contents nor generation(), when a class total or token count
+  /// would pass UINT32_MAX.
   void train_spam_ids(const TokenIdSet& ids, std::uint32_t copies = 1);
   void train_ham_ids(const TokenIdSet& ids, std::uint32_t copies = 1);
 

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -43,8 +44,10 @@ class TokenDatabase {
   TokenDatabase() = default;
 
   /// Records `copies` spam emails, each containing exactly the tokens in
-  /// `ids` (a deduplicated id set, see unique_token_ids()). The *_ids
-  /// methods are the hot path; the string-set methods intern and forward.
+  /// `ids` (a deduplicated id set, see unique_token_ids()). Throws
+  /// InvalidArgument, changing neither contents nor generation(), when a
+  /// class total or token count would pass UINT32_MAX. The *_ids methods
+  /// are the hot path; the string-set methods intern and forward.
   /// (Distinct names, not overloads: a two-element braced string list would
   /// otherwise ambiguously match vector<uint32_t>'s iterator-pair
   /// constructor.)
@@ -136,4 +139,22 @@ class TokenDatabase {
   std::uint64_t generation_ = next_generation();
 };
 
+namespace detail {
+
+/// The SBXDB 1 writer shared by both counts types (format at
+/// TokenDatabase::save): the class totals, then `entries` (nonzero
+/// counts) sorted by spelling.
+void write_sbxdb(std::ostream& out, std::uint32_t nspam, std::uint32_t nham,
+                 std::vector<std::pair<std::string_view, TokenCounts>> entries);
+
+/// The SBXDB 1 reader: stores the class totals, then calls
+/// on_entry(id, counts) per token line, interning the token. Throws
+/// ParseError, prefixed with `type`, on malformed input, including a
+/// zero-count entry. A count above its class total is valid (untrain can
+/// leave one).
+void read_sbxdb(std::istream& in, const char* type, std::uint32_t& nspam,
+                std::uint32_t& nham,
+                const std::function<void(TokenId, TokenCounts)>& on_entry);
+
+}  // namespace detail
 }  // namespace sbx::spambayes

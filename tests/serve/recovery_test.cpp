@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -279,6 +280,49 @@ TEST(Recovery, DedupWindowSurvivesSnapshotting) {
   const TrainResponse retry = recovered->train(t);
   EXPECT_EQ(retry.overlay_ham, 1u);
   EXPECT_EQ(recovered->stats().deduped_mutations, 1u);
+}
+
+// An Untrain of a message that was never trained is accepted when its
+// tokens are all present (here: an empty message), and leaves a token
+// count above its class total. The snapshot holding that overlay must
+// recover, bit-identically.
+TEST(Recovery, OverlayWithCountAboveClassTotalRecovers) {
+  TempDataDir dir("above");
+  const auto msgs = make_messages(1, 43);
+  auto reference = memory_frontend();
+  const auto feed = [&msgs](ServeFrontend& frontend) {
+    TrainRequest t;
+    t.user_id = 3;
+    t.as_spam = true;
+    t.copies = 2;
+    t.message = msgs[0];
+    frontend.train(t);
+    UntrainRequest u;
+    u.user_id = 3;
+    u.as_spam = true;
+    u.copies = 1;
+    u.message = "";
+    frontend.untrain(u);
+  };
+  {
+    auto durable = durable_frontend(dir.path, /*snapshot_every=*/1);
+    feed(*durable);
+    ASSERT_GT(durable->durability()->snapshots_taken(), 0u);
+    const OverlaySnapshot overlay = durable->overlay(3);
+    ASSERT_NE(overlay, nullptr);
+    ASSERT_EQ(overlay->spam_count(), 1u);
+    ASSERT_GT(overlay->vocabulary_size(), 0u);
+  }
+  feed(*reference);
+
+  auto recovered = memory_frontend();
+  const RecoveryStats rs = recover(*recovered, dir.path);
+  EXPECT_GT(rs.snapshot_users, 0u);
+  std::ostringstream got, want;
+  recovered->overlay(3)->save(got);
+  reference->overlay(3)->save(want);
+  EXPECT_EQ(got.str(), want.str());
+  expect_bit_identical(*recovered, *reference, 80);
 }
 
 TEST(Recovery, ManifestRoundTripsAndRejectsCorruption) {

@@ -64,7 +64,7 @@ TEST(EdgeCases, FilterHandlesEmptyMessage) {
   email::Message empty;
   filter.train_spam(empty);  // counts the email even with zero tokens
   EXPECT_EQ(filter.database().spam_count(), 1u);
-  ScoreResult r = filter.classify(empty);
+  ScoreIdResult r = filter.classify(empty);
   EXPECT_EQ(r.verdict, Verdict::unsure);
   filter.untrain_spam(empty);
   EXPECT_EQ(filter.database().spam_count(), 0u);

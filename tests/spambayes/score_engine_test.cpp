@@ -1,19 +1,24 @@
-// Equivalence + invalidation suite for the generation-cached ScoreEngine:
+// Equivalence + invalidation suite for ScoreEngine, the one scoring core:
 //
-//  * the engine's single-message and batch paths are BIT-identical to
-//    Classifier::score_ids (scores, evidence values/ordering/used flags,
+//  * the engine's single-message, batch and overlay paths, and the
+//    Classifier and Filter forwards to it, are BIT-identical to the
+//    independent string-keyed reference in tests/support/
+//    reference_scorer.h (scores, evidence values/ordering/used flags,
 //    verdicts) — every comparison is EXPECT_EQ on doubles, never
 //    approximate;
 //  * the generation contract makes stale-cache reuse impossible: any
 //    train/untrain/merge/load moves the database to a process-globally
 //    unique generation and the warm memo is refilled, so
 //    train -> score -> untrain -> score returns the pre-train bits;
+//  * the overlay form neither reads nor rebinds the base memo;
 //  * mutating the database from inside a batch sink throws (one batch =
 //    one snapshot);
 //  * one engine per thread reproduces the single-threaded bits at any
 //    thread count.
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,20 +27,27 @@
 #include "eval/runner.h"
 #include "spambayes/filter.h"
 #include "spambayes/score_engine.h"
+#include "spambayes/sparse_token_db.h"
+#include "support/reference_scorer.h"
 #include "util/error.h"
 #include "util/random.h"
 
 namespace sbx::spambayes {
 namespace {
 
+using test_support::ref_score;
+using test_support::RefDatabase;
+
 const corpus::TrecLikeGenerator& generator() {
   static const corpus::TrecLikeGenerator gen;
   return gen;
 }
 
-/// A trained filter plus deduplicated probe id sets.
+/// A trained filter, the same training in the string-keyed reference, and
+/// deduplicated probe id sets.
 struct EngineCorpus {
   Filter filter;
+  RefDatabase ref;
   std::vector<TokenIdSet> probes;
 
   explicit EngineCorpus(int train_each = 100, int probe_count = 40,
@@ -43,8 +55,12 @@ struct EngineCorpus {
     const corpus::TrecLikeGenerator& gen = generator();
     util::Rng rng(seed);
     for (int i = 0; i < train_each; ++i) {
-      filter.train_ham_ids(filter.message_token_ids(gen.generate_ham(rng)));
-      filter.train_spam_ids(filter.message_token_ids(gen.generate_spam(rng)));
+      const email::Message ham = gen.generate_ham(rng);
+      const email::Message spam = gen.generate_spam(rng);
+      filter.train_ham_ids(filter.message_token_ids(ham));
+      filter.train_spam_ids(filter.message_token_ids(spam));
+      ref.train(filter.message_tokens(ham), /*spam=*/false);
+      ref.train(filter.message_tokens(spam), /*spam=*/true);
     }
     for (int i = 0; i < probe_count; ++i) {
       const email::Message m =
@@ -54,8 +70,30 @@ struct EngineCorpus {
   }
 };
 
-void expect_bitwise_equal(const ScoreIdResult& expected,
-                          const ScoreIdResult& actual, const char* what) {
+/// The spellings of `ids`, in id-list order, so reference evidence lines
+/// up entry for entry with the engine's.
+TokenSet spellings(const TokenIdList& ids) {
+  TokenSet out;
+  for (TokenId id : ids) out.emplace_back(global_interner().spelling(id));
+  return out;
+}
+
+/// The reference scorer's result for `ids` against `ref`.
+ScoreResult reference(const RefDatabase& ref, const TokenIdList& ids,
+                      const ClassifierOptions& opts = {}) {
+  return ref_score(ref, spellings(ids), opts);
+}
+
+std::string_view spelling_of(const TokenEvidence& ev) { return ev.token; }
+std::string_view spelling_of(const TokenIdEvidence& ev) {
+  return global_interner().spelling(ev.id);
+}
+
+/// Bitwise comparison of two results of any of ScoreResult, ScoreIdResult
+/// and BatchScore; evidence entries are matched by spelling.
+template <typename Expected, typename Actual>
+void expect_bitwise_equal(const Expected& expected, const Actual& actual,
+                          const char* what) {
   EXPECT_EQ(expected.score, actual.score) << what;
   EXPECT_EQ(expected.spam_evidence, actual.spam_evidence) << what;
   EXPECT_EQ(expected.ham_evidence, actual.ham_evidence) << what;
@@ -63,23 +101,23 @@ void expect_bitwise_equal(const ScoreIdResult& expected,
   EXPECT_EQ(expected.verdict, actual.verdict) << what;
   ASSERT_EQ(expected.evidence.size(), actual.evidence.size()) << what;
   for (std::size_t j = 0; j < expected.evidence.size(); ++j) {
-    EXPECT_EQ(expected.evidence[j].id, actual.evidence[j].id) << what;
+    EXPECT_EQ(spelling_of(expected.evidence[j]),
+              spelling_of(actual.evidence[j]))
+        << what;
     EXPECT_EQ(expected.evidence[j].score, actual.evidence[j].score) << what;
     EXPECT_EQ(expected.evidence[j].used, actual.evidence[j].used) << what;
   }
 }
 
-// --- bitwise equivalence to Classifier::score_ids --------------------------
+// --- bitwise equivalence to the string-keyed reference ---------------------
 
-TEST(ScoreEngine, SingleMessagePathMatchesClassifierBitwise) {
+TEST(ScoreEngine, SingleMessagePathMatchesReferenceBitwise) {
   EngineCorpus corpus;
-  const Classifier& classifier = corpus.filter.classifier();
   ScoreEngine engine(corpus.filter.options().classifier);
   for (std::size_t i = 0; i < corpus.probes.size(); ++i) {
-    const ScoreIdResult expected =
-        classifier.score_ids(corpus.filter.database(), corpus.probes[i]);
+    const ScoreResult expected = reference(corpus.ref, corpus.probes[i]);
     // Score twice: the first call fills the memo, the second consumes it
-    // warm — both must carry the same bits as the uncached classifier.
+    // warm — both must carry the reference's bits.
     expect_bitwise_equal(
         expected, engine.score_ids(corpus.filter.database(), corpus.probes[i]),
         "cold");
@@ -89,40 +127,74 @@ TEST(ScoreEngine, SingleMessagePathMatchesClassifierBitwise) {
   }
 }
 
-TEST(ScoreEngine, BatchPathMatchesClassifierBitwise) {
+TEST(ScoreEngine, BatchPathMatchesReferenceBitwise) {
   EngineCorpus corpus;
-  const Classifier& classifier = corpus.filter.classifier();
   ScoreEngine engine(corpus.filter.options().classifier);
   std::size_t seen = 0;
   engine.score_ids_batch(
       corpus.filter.database(), corpus.probes,
       [&](std::size_t i, const BatchScore& scored) {
         ++seen;
-        const ScoreIdResult expected =
-            classifier.score_ids(corpus.filter.database(), corpus.probes[i]);
-        EXPECT_EQ(expected.score, scored.score) << "probe " << i;
-        EXPECT_EQ(expected.spam_evidence, scored.spam_evidence);
-        EXPECT_EQ(expected.ham_evidence, scored.ham_evidence);
-        EXPECT_EQ(expected.tokens_used, scored.tokens_used);
-        EXPECT_EQ(expected.verdict, scored.verdict);
-        ASSERT_EQ(expected.evidence.size(), scored.evidence.size());
-        for (std::size_t j = 0; j < expected.evidence.size(); ++j) {
-          EXPECT_EQ(expected.evidence[j].id, scored.evidence[j].id);
-          EXPECT_EQ(expected.evidence[j].score, scored.evidence[j].score);
-          EXPECT_EQ(expected.evidence[j].used, scored.evidence[j].used);
-        }
+        expect_bitwise_equal(reference(corpus.ref, corpus.probes[i]), scored,
+                             "batch");
       });
   EXPECT_EQ(seen, corpus.probes.size());
 }
 
-TEST(ScoreEngine, FilterClassifyIdsMatchesClassifierBitwise) {
-  // Filter::classify_ids routes through the thread-local engine; it must
-  // stay a bit-exact drop-in for the direct classifier call.
+TEST(ScoreEngine, ForwardsMatchReferenceBitwise) {
+  // Filter::classify_ids and Classifier's id and string forwards all reach
+  // the thread-local engine; each must carry the reference's bits, and the
+  // string forward its input-order spellings.
   EngineCorpus corpus;
   const Classifier& classifier = corpus.filter.classifier();
+  const TokenDatabase& db = corpus.filter.database();
   for (const TokenIdSet& probe : corpus.probes) {
-    expect_bitwise_equal(classifier.score_ids(corpus.filter.database(), probe),
-                         corpus.filter.classify_ids(probe), "classify_ids");
+    const ScoreResult expected = reference(corpus.ref, probe);
+    expect_bitwise_equal(expected, corpus.filter.classify_ids(probe),
+                         "classify_ids");
+    expect_bitwise_equal(expected, classifier.score_ids(db, probe),
+                         "score_ids");
+    expect_bitwise_equal(expected, classifier.score(db, spellings(probe)),
+                         "score");
+  }
+}
+
+TEST(ScoreEngine, OverlayFormMatchesReferenceAndKeepsBaseMemo) {
+  // Base-only and overlay calls interleave on one engine, as they do on a
+  // serving connection thread. The overlay form must score the merged
+  // counts exactly and leave the base memo bound and intact.
+  EngineCorpus corpus(80, 24, 808);
+  const TokenDatabase& db = corpus.filter.database();
+  SparseTokenDatabase overlay;
+  RefDatabase merged = corpus.ref;
+  std::vector<TokenIdSet> probes = corpus.probes;
+  util::Rng rng(809);
+  for (int i = 0; i < 20; ++i) {
+    const bool spam = i % 2 == 0;
+    const email::Message m =
+        spam ? generator().generate_spam(rng) : generator().generate_ham(rng);
+    const TokenIdSet ids = corpus.filter.message_token_ids(m);
+    const auto copies = static_cast<std::uint32_t>(1 + i % 3);
+    if (spam) {
+      overlay.train_spam_ids(ids, copies);
+    } else {
+      overlay.train_ham_ids(ids, copies);
+    }
+    merged.train(spellings(ids), spam, copies);
+    probes.push_back(ids);  // overlay-only tokens enter the probes too
+  }
+
+  const ClassifierOptions& opts = corpus.filter.options().classifier;
+  ScoreEngine engine(opts);
+  engine.score_ids(db, probes[0]);
+  const std::uint64_t bound = engine.cached_generation();
+  EXPECT_EQ(bound, db.generation());
+  for (const TokenIdSet& probe : probes) {
+    expect_bitwise_equal(reference(corpus.ref, probe, opts),
+                         engine.score_ids(db, probe), "base");
+    expect_bitwise_equal(reference(merged, probe, opts),
+                         engine.score_ids(db, overlay, probe), "overlay");
+    EXPECT_EQ(engine.cached_generation(), bound);
   }
 }
 
@@ -141,12 +213,12 @@ TEST(ScoreEngine, TrainUntrainRoundTripRestoresPreTrainBits) {
   }
 
   corpus.filter.train_spam_ids(extra, 3);
-  const Classifier& classifier = corpus.filter.classifier();
+  corpus.ref.train(spellings(extra), /*spam=*/true, 3);
   for (std::size_t i = 0; i < corpus.probes.size(); ++i) {
     // The warm memo must not leak pre-train values into the poisoned
     // database's scores...
     expect_bitwise_equal(
-        classifier.score_ids(corpus.filter.database(), corpus.probes[i]),
+        reference(corpus.ref, corpus.probes[i]),
         engine.score_ids(corpus.filter.database(), corpus.probes[i]),
         "after train");
   }
@@ -178,9 +250,8 @@ TEST(ScoreEngine, LoadInvalidates) {
   const TokenDatabase loaded = TokenDatabase::load(stream);
   EXPECT_NE(loaded.generation(), small.filter.database().generation());
   EXPECT_NE(loaded.generation(), big.filter.database().generation());
-  const Classifier& classifier = big.filter.classifier();
   for (const TokenIdSet& probe : big.probes) {
-    expect_bitwise_equal(classifier.score_ids(loaded, probe),
+    expect_bitwise_equal(reference(big.ref, probe),
                          engine.score_ids(loaded, probe), "loaded db");
   }
 }
@@ -256,8 +327,7 @@ TEST(ScoreEngine, MutationDuringBatchThrows) {
   corpus.filter.untrain_spam_ids(corpus.probes[0]);
   // The engine itself must recover: the next bind resynchronizes.
   expect_bitwise_equal(
-      corpus.filter.classifier().score_ids(corpus.filter.database(),
-                                           corpus.probes[1]),
+      reference(corpus.ref, corpus.probes[1]),
       engine.score_ids(corpus.filter.database(), corpus.probes[1]),
       "after recovery");
 }
@@ -269,18 +339,16 @@ TEST(ScoreEngine, ThreadEngineTracksOptionChanges) {
   ClassifierOptions strict;
   strict.minimum_prob_strength = 0.3;
   strict.unknown_word_strength = 0.8;
-  const Classifier strict_classifier(strict);
-  const Classifier default_classifier{ClassifierOptions{}};
   for (const TokenIdSet& probe : corpus.probes) {
     // Alternate options through the shared thread engine: each rebind
     // must invalidate the memoized probabilities/flags.
     expect_bitwise_equal(
-        default_classifier.score_ids(corpus.filter.database(), probe),
+        reference(corpus.ref, probe, ClassifierOptions{}),
         ScoreEngine::for_current_thread(ClassifierOptions{})
             .score_ids(corpus.filter.database(), probe),
         "default opts");
     expect_bitwise_equal(
-        strict_classifier.score_ids(corpus.filter.database(), probe),
+        reference(corpus.ref, probe, strict),
         ScoreEngine::for_current_thread(strict).score_ids(
             corpus.filter.database(), probe),
         "strict opts");
@@ -291,11 +359,9 @@ TEST(ScoreEngine, ThreadEngineTracksOptionChanges) {
 
 TEST(ScoreEngine, SharedConstFilterBitIdenticalAtOneAndFourThreads) {
   EngineCorpus corpus(80, 32, 616);
-  const Classifier& classifier = corpus.filter.classifier();
   std::vector<double> expected;
   for (const TokenIdSet& probe : corpus.probes) {
-    expected.push_back(
-        classifier.score_ids(corpus.filter.database(), probe).score);
+    expected.push_back(reference(corpus.ref, probe).score);
   }
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     eval::Runner runner(1, threads);

@@ -153,6 +153,47 @@ TEST(SparseTokenDatabase, TrainPastUint32ClassTotalThrowsAndChangesNothing) {
   EXPECT_EQ(db.spam_count(), std::numeric_limits<std::uint32_t>::max());
 }
 
+// An untrain of a never-trained message leaves a count above its class
+// total: both types hold the same state and bytes, it loads back
+// unchanged, and a train that would wrap such a count throws.
+TEST(SparseTokenDatabase, CountAboveClassTotalRoundTripsAndTrainCannotWrapIt) {
+  const std::vector<TokenId> ids = fresh_ids("sparse-above-", 3);
+  const auto apply = [&ids](auto& d) {
+    d.train_spam_ids({ids[0], ids[1]});
+    d.train_spam_ids({ids[0]});
+    d.untrain_spam_ids({ids[1]});
+    d.train_ham_ids({ids[2]}, 2);
+    d.untrain_ham_ids({});
+  };
+  SparseTokenDatabase db;
+  TokenDatabase dense;
+  apply(db);
+  apply(dense);
+  EXPECT_EQ(db.counts(ids[0]), (TokenCounts{2, 0}));
+  EXPECT_EQ(db.spam_count(), 1u);
+  EXPECT_EQ(db.ham_count(), 1u);
+  EXPECT_EQ(saved(db), saved(dense));
+
+  std::istringstream in(saved(db));
+  const SparseTokenDatabase loaded = SparseTokenDatabase::load(in);
+  EXPECT_EQ(saved(loaded), saved(db));
+  EXPECT_EQ(loaded.counts(ids[0]), (TokenCounts{2, 0}));
+
+  std::istringstream wrap(
+      "SBXDB 1\n1 0\n4294967295 0 sparse-above-wraptoken\n");
+  SparseTokenDatabase near_max = SparseTokenDatabase::load(wrap);
+  const std::string before = saved(near_max);
+  const std::uint64_t generation = near_max.generation();
+  const TokenId id = *global_interner().find("sparse-above-wraptoken");
+  // ids[0], interned first, is inserted before the wrap, then rolled back.
+  ASSERT_LT(ids[0], id);
+  EXPECT_THROW(near_max.train_spam_ids(unique_token_ids({ids[0], id})),
+               InvalidArgument);
+  EXPECT_EQ(saved(near_max), before);
+  EXPECT_EQ(near_max.vocabulary_size(), 1u);
+  EXPECT_EQ(near_max.generation(), generation);
+}
+
 TEST(SparseTokenDatabase, GenerationsComeFromTheTokenDatabaseCounter) {
   const std::vector<TokenId> ids = fresh_ids("sparse-gen-", 1);
   const TokenDatabase dense_before;

@@ -2,12 +2,14 @@
 // merging and serialization.
 #include "spambayes/token_db.h"
 
+#include <cstdint>
 #include <filesystem>
 #include <sstream>
 #include <tuple>
 
 #include <gtest/gtest.h>
 
+#include "spambayes/tokenizer.h"
 #include "util/error.h"
 #include "util/random.h"
 
@@ -123,6 +125,62 @@ TEST(TokenDatabase, LoadRejectsMalformedInput) {
   EXPECT_THROW(load_str("SBXDB 1\n1 1\nnot_numbers here\n"), ParseError);
   EXPECT_THROW(load_str("SBXDB 1\n1 1\n1 0\n"), ParseError);     // no token
   EXPECT_THROW(load_str("SBXDB 1\n1 1\n0 0 token\n"), ParseError);  // zeroed
+}
+
+// Untraining a message that was never trained checks only the tokens it
+// lists, so a token count can end up above its class total. Such a
+// database must save and load unchanged, and a train that would wrap a
+// count must throw instead.
+TEST(TokenDatabase, CountAboveClassTotalRoundTripsAndTrainCannotWrapIt) {
+  TokenDatabase db;
+  db.train_spam({"above-a", "above-b"});
+  db.train_spam({"above-a"});
+  db.untrain_spam({"above-b"});
+  db.train_ham({"above-c"}, 2);
+  db.untrain_ham(TokenSet{});
+  EXPECT_EQ(db.counts("above-a").spam, 2u);
+  EXPECT_EQ(db.spam_count(), 1u);
+  EXPECT_EQ(db.counts("above-c").ham, 2u);
+  EXPECT_EQ(db.ham_count(), 1u);
+
+  std::stringstream first;
+  db.save(first);
+  const std::string bytes = first.str();
+  TokenDatabase loaded = TokenDatabase::load(first);
+  std::ostringstream second;
+  loaded.save(second);
+  EXPECT_EQ(second.str(), bytes);
+  EXPECT_EQ(loaded.counts("above-a").spam, 2u);
+
+  // Interned first, so its increment precedes the wrap and is rolled back.
+  const TokenId fresh = global_interner().intern("above-fresh");
+  std::stringstream wrap("SBXDB 1\n1 0\n4294967295 0 above-wraptoken\n");
+  TokenDatabase near_max = TokenDatabase::load(wrap);
+  std::ostringstream before;
+  near_max.save(before);
+  const std::uint64_t generation = near_max.generation();
+  const TokenId id = *global_interner().find("above-wraptoken");
+  ASSERT_LT(fresh, id);
+  EXPECT_THROW(near_max.train_spam_ids(unique_token_ids({fresh, id})),
+               InvalidArgument);
+  std::ostringstream after;
+  near_max.save(after);
+  EXPECT_EQ(after.str(), before.str());
+  EXPECT_EQ(near_max.counts(fresh), TokenCounts{});
+  EXPECT_EQ(near_max.vocabulary_size(), 1u);
+  EXPECT_EQ(near_max.generation(), generation);
+}
+
+TEST(TokenDatabase, TrainPastUint32ClassTotalThrowsAndChangesNothing) {
+  TokenDatabase db;
+  db.train_spam({"total-a"}, 4294967294u);
+  const std::uint64_t generation = db.generation();
+  EXPECT_THROW(db.train_spam({"total-b"}, 2), InvalidArgument);
+  EXPECT_EQ(db.spam_count(), 4294967294u);
+  EXPECT_EQ(db.vocabulary_size(), 1u);
+  EXPECT_EQ(db.generation(), generation);
+  db.train_spam({"total-b"}, 1);  // exactly UINT32_MAX fits
+  EXPECT_EQ(db.spam_count(), 4294967295u);
 }
 
 TEST(TokenDatabase, FileRoundTrip) {
