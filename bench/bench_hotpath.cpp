@@ -1,10 +1,9 @@
 // bench_hotpath: machine-readable perf baselines for the hot paths the
 // interning + score-engine refactors target — classification (msgs/sec)
-// through Classifier's string-set and interned id forwards and the
-// generation-cached ScoreEngine they reach (single-message and zero-alloc
-// batch),
-// train/untrain round trips (ops/sec) and tokenization (MB/s; one ham
-// probe, and the served message mix both interning and lookup-only) — plus
+// through Classifier's id forward and the generation-cached ScoreEngine it
+// reaches (single-message and zero-alloc batch), train/untrain round trips
+// (ops/sec) and tokenization (MB/s; one ham probe to a string set and to an
+// id set, and the served message mix both interning and lookup-only) — plus
 // the serving layer's per-user overlay: copy-on-write train (ops/sec) and
 // base + overlay scoring (msgs/sec).
 //
@@ -85,25 +84,20 @@ int main(int argc, char** argv) {
   const spambayes::Tokenizer tok;
 
   // --- classification: 400-message filter, fresh ham probe ---------------
-  // (the same workload bench_micro's BM_ClassifyMessage uses)
+  // (the same workload bench_micro's BM_ClassifyMessageInterned uses)
   util::Rng rng(4);
   spambayes::Filter filter;
   for (int i = 0; i < 200; ++i) {
     filter.train_ham_ids(tok.tokenize_id_set(gen.generate_ham(rng)));
     filter.train_spam_ids(tok.tokenize_id_set(gen.generate_spam(rng)));
   }
-  const email::Message probe_msg = gen.generate_ham(rng);
-  const spambayes::TokenSet probe_tokens =
-      spambayes::unique_tokens(tok.tokenize(probe_msg));
-  const spambayes::TokenIdSet probe_ids = tok.tokenize_id_set(probe_msg);
+  const spambayes::TokenIdSet probe_ids =
+      tok.tokenize_id_set(gen.generate_ham(rng));
 
-  // The string and interned probes go through Classifier's forwards to the
-  // calling thread's ScoreEngine, warm after the first call: they measure
-  // the forwards (interning the strings, copying evidence out) on top of
-  // the memoized engine. There is no uncached scorer left to measure.
-  const double classify_string = ops_per_sec(min_seconds, [&] {
-    g_sink = filter.classify_tokens(probe_tokens).score;
-  });
+  // The probe goes through Classifier's forward to the calling thread's
+  // ScoreEngine, warm after the first call: it measures the forward
+  // (copying evidence out) on top of the memoized engine. There is no
+  // uncached scorer left to measure.
   const double classify_interned = ops_per_sec(min_seconds, [&] {
     g_sink = filter.classifier().score_ids(filter.database(), probe_ids).score;
   });
@@ -139,22 +133,16 @@ int main(int argc, char** argv) {
 
   // --- train/untrain round trip (RONI's inner loop shape) ----------------
   util::Rng train_rng(3);
-  const email::Message spam_msg = gen.generate_spam(train_rng);
-  const spambayes::TokenSet spam_tokens =
-      spambayes::unique_tokens(tok.tokenize(spam_msg));
-  const spambayes::TokenIdSet spam_ids = tok.tokenize_id_set(spam_msg);
+  const spambayes::TokenIdSet spam_ids =
+      tok.tokenize_id_set(gen.generate_spam(train_rng));
 
-  const double train_string = ops_per_sec(min_seconds, [&] {
-    filter.train_spam_tokens(spam_tokens);
-    filter.untrain_spam_tokens(spam_tokens);
-  });
   const double train_interned = ops_per_sec(min_seconds, [&] {
     filter.train_spam_ids(spam_ids);
     filter.untrain_spam_ids(spam_ids);
   });
 
-  // --- tokenization (message -> deduplicated token set, the unit every
-  // consumer uses: Filter::message_tokens vs message_token_ids) -----------
+  // --- tokenization (message -> deduplicated token set: the string
+  // reference unique_tokens(tokenize()) vs the one-pass tokenize_id_set) --
   util::Rng tok_rng(1);
   const email::Message ham_msg = gen.generate_ham(tok_rng);
   const double msg_mb =
@@ -243,13 +231,11 @@ int main(int argc, char** argv) {
 
   // tools/check_bench.py gates the "metrics" that BENCH_baseline.json
   // lists; the speedup ratios are informational only (a future improvement
-  // to the legacy string path would legitimately shrink them).
+  // to the string tokenizer would legitimately shrink them).
   const std::vector<Metric> metrics = {
-      {"classify_string_msgs_per_sec", classify_string},
       {"classify_interned_msgs_per_sec", classify_interned},
       {"classify_engine_msgs_per_sec", classify_engine},
       {"classify_engine_batch_msgs_per_sec", classify_engine_batch},
-      {"train_untrain_string_ops_per_sec", train_string},
       {"train_untrain_interned_ops_per_sec", train_interned},
       {"tokenize_to_set_string_mb_per_sec", tokenize_string},
       {"tokenize_to_ids_mb_per_sec", tokenize_ids},
@@ -259,11 +245,8 @@ int main(int argc, char** argv) {
       {"overlay_score_msgs_per_sec", overlay_score},
   };
   const std::vector<Metric> info = {
-      {"classify_interned_speedup", classify_interned / classify_string},
-      {"classify_engine_speedup", classify_engine / classify_string},
       {"classify_engine_vs_interned_speedup",
        classify_engine / classify_interned},
-      {"train_untrain_interned_speedup", train_interned / train_string},
       {"tokenize_to_ids_speedup", tokenize_ids / tokenize_string},
   };
 

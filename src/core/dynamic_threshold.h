@@ -72,9 +72,6 @@ struct SpamBatch {
   SpamBatch() = default;
   SpamBatch(spambayes::TokenIdSet ids_in, std::uint32_t copies_in)
       : ids(std::move(ids_in)), copies(copies_in) {}
-  /// String-set convenience: interns and forwards.
-  SpamBatch(const spambayes::TokenSet& tokens, std::uint32_t copies_in)
-      : ids(spambayes::intern_tokens(tokens)), copies(copies_in) {}
 };
 
 ThresholdPair compute_dynamic_thresholds(

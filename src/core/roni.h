@@ -57,11 +57,6 @@ class RoniDefense {
                         const corpus::TokenizedDataset& pool,
                         util::Rng& rng) const;
 
-  /// String-set wrapper: interns `query_tokens` and forwards.
-  RoniAssessment assess(const spambayes::TokenSet& query_tokens,
-                        const corpus::TokenizedDataset& pool,
-                        util::Rng& rng) const;
-
   const RoniConfig& config() const { return config_; }
 
  private:

@@ -42,12 +42,6 @@ struct AttackInjection {
   AttackInjection(std::size_t week_in, spambayes::TokenIdSet ids_in,
                   std::uint32_t copies_in)
       : week(week_in), ids(std::move(ids_in)), copies(copies_in) {}
-  /// String-set convenience: interns and forwards.
-  AttackInjection(std::size_t week_in, const spambayes::TokenSet& tokens,
-                  std::uint32_t copies_in)
-      : week(week_in),
-        ids(spambayes::intern_tokens(tokens)),
-        copies(copies_in) {}
 };
 
 /// Timeline configuration.

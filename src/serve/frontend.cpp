@@ -135,9 +135,16 @@ MutationResult ServeFrontend::apply(std::uint8_t op, std::uint64_t user_id,
     throw InvalidArgument("serve: mutation copies must be greater than 0");
   }
   const RouteEntry at = route_checked(user_id);
-  const spambayes::TokenIdSet ids =
-      base_.message_token_ids(email::parse_message(message));
+  // Untrain only looks tokens up, so a rejected untrain interns nothing.
+  // One holding a never-interned token (count 0 everywhere) is rejected by
+  // the shard after its dedup lookup, before the WAL sees it.
+  const email::Message parsed = email::parse_message(message);
   MutationRequest req;
+  const spambayes::TokenIdSet ids =
+      op == kWalOpTrain ? base_.message_token_ids(parsed)
+                        : base_.tokenizer().tokenize_id_set(
+                              parsed, spambayes::IdMode::kLookupOnly, nullptr,
+                              &req.unknown_token);
   req.op = op;
   req.user_id = user_id;
   req.request_id = request_id;

@@ -13,11 +13,12 @@
 //    generation-cached ScoreEngine batch API, the same code path batch
 //    experiments use;
 //  * a user whose overlay was trained on messages M classifies
-//    bit-identically to a standalone Filter copy trained on M — merged
-//    counts are exact uint32 sums, so ScoreEngine's overlay form (which
-//    leaves the thread engine's base memo warm) sees the same doubles as
-//    a merged database would. A Train whose `copies` would carry the
-//    base + overlay class totals past UINT32_MAX is rejected unlogged;
+//    bit-identically to a standalone Filter copy trained on M — ScoreEngine's
+//    overlay form (which leaves the thread engine's base memo warm) sums
+//    base and overlay counts exactly, in wider than uint32, so it sees the
+//    same doubles as a merged database would. A Train whose `copies` would
+//    carry the base + overlay class totals past UINT32_MAX is rejected
+//    unlogged;
 //  * one classify batch reads one overlay snapshot: mutations that land
 //    mid-batch affect later requests, never a half-scored batch.
 //
@@ -36,8 +37,8 @@
 // Cost: a user's overlay is a sparse table of the tokens that user
 // trained (spambayes::SparseTokenDatabase), so per-user memory and the
 // copy-on-write cost of each Train/Untrain are O(that user's feedback).
-// Classify traffic grows no shared state at all; only Train, Untrain and
-// replay intern.
+// Classify traffic grows no shared state at all, and neither does Untrain,
+// which only looks tokens up; only Train and replay intern.
 //
 // Durability (PR 7): constructed with a Durability, every Train/Untrain is
 // WAL-logged before it publishes, and recover() (recovery.h) rebuilds the

@@ -106,6 +106,10 @@ MutationResult ModelShard::apply_mutation(std::size_t local,
     }
     return replayed;
   }
+  if (req.unknown_token) {
+    throw InvalidArgument(
+        "untrain: the message has a token no model was trained on");
+  }
 
   // Prepare first: a mutation that cannot apply (bad untrain, or a train
   // that would wrap a uint32 class total) must fail before anything

@@ -69,6 +69,10 @@ struct MutationRequest {
   std::uint32_t copies = 1;
   const std::string* message = nullptr;
   std::uint64_t seqno = 0;  // set only on replay (live path draws its own)
+  /// An Untrain whose lookup-only tokenization dropped a never-interned
+  /// spelling: rejected, but only after a dedup miss, so a retry of an
+  /// applied Untrain still gets its stored result.
+  bool unknown_token = false;
 };
 
 struct MutationResult {

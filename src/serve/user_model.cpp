@@ -19,8 +19,9 @@ OverlaySnapshot UserModel::prepare(const spambayes::TokenIdSet& ids,
         "untrain: user has no trained messages (empty overlay)");
   }
   if (is_train) {
-    // Classify adds base and overlay counts in uint32: bound the summed
-    // class totals (SparseTokenDatabase::add guards the overlay's counts).
+    // Bound the summed class totals, so the merged model is one a
+    // TokenDatabase could hold (SparseTokenDatabase::add guards the
+    // overlay's counts).
     const std::uint64_t total =
         std::uint64_t{as_spam ? base.spam : base.ham} +
         (current ? (as_spam ? current->spam_count() : current->ham_count())

@@ -43,31 +43,15 @@ Classifier::Classifier(ClassifierOptions opts) : opts_(opts) {
 
 double Classifier::token_score(const TokenDatabase& db,
                                std::string_view token) const {
-  return detail::score_from_counts(db.counts(token), db.spam_count(),
+  const TokenCounts c = db.counts(token);
+  return detail::score_from_counts(c.spam, c.ham, db.spam_count(),
                                    db.ham_count(), opts_);
 }
 
 double Classifier::token_score(const TokenDatabase& db, TokenId id) const {
-  return detail::score_from_counts(db.counts(id), db.spam_count(),
+  const TokenCounts c = db.counts(id);
+  return detail::score_from_counts(c.spam, c.ham, db.spam_count(),
                                    db.ham_count(), opts_);
-}
-
-ScoreResult Classifier::score(const TokenDatabase& db,
-                              const TokenSet& tokens) const {
-  TokenIdList ids;
-  ids.reserve(tokens.size());
-  TokenInterner& interner = global_interner();
-  for (const auto& t : tokens) ids.push_back(interner.intern(t));
-  const ScoreIdResult scored = score_ids(db, ids);
-  ScoreResult result{scored.score,       scored.spam_evidence,
-                     scored.ham_evidence, scored.tokens_used,
-                     scored.verdict,      {}};
-  result.evidence.reserve(tokens.size());
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    result.evidence.push_back(
-        {tokens[i], scored.evidence[i].score, scored.evidence[i].used});
-  }
-  return result;
 }
 
 ScoreIdResult Classifier::score_ids(const TokenDatabase& db,

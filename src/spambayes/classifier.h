@@ -4,15 +4,13 @@
 // per-token score f(w) of Eq. 1-2, and the ham / unsure / spam cutoffs
 // applied to I(E). Scoring a message forwards to the calling thread's
 // ScoreEngine (score_engine.h), the one implementation of delta(E)
-// selection and Fisher's method:
-//  * score_ids(db, ids) — interned ids against a TokenDatabase;
+// selection and Fisher's method. Messages are interned id sets:
+//  * score_ids(db, ids) — against a TokenDatabase;
 //  * score_ids(base, overlay, ids) — against a base plus a per-user
-//    sparse overlay (the serving layer's users with feedback);
-//  * score(db, tokens) — a string set, interned in input order; evidence
-//    entries carry spellings and follow the input order.
+//    sparse overlay (the serving layer's users with feedback).
+// Evidence entries carry ids; TokenInterner::spelling() resolves them.
 #pragma once
 
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -20,7 +18,6 @@
 #include "spambayes/options.h"
 #include "spambayes/sparse_token_db.h"
 #include "spambayes/token_db.h"
-#include "spambayes/tokenizer.h"
 
 namespace sbx::spambayes {
 
@@ -36,40 +33,22 @@ std::string_view to_string(Verdict v);
 bool verdict_at_most(Verdict v, Verdict goal);
 
 /// One token's contribution to a score, exposed for analysis (Figure 4
-/// plots these before/after an attack).
-struct TokenEvidence {
-  std::string token;
+/// plots these before/after an attack). Resolve the spelling on demand via
+/// TokenInterner::spelling.
+struct TokenIdEvidence {
+  TokenId id = 0;
   double score = 0.5;  // f(w) from Eq. 2
   bool used = false;   // selected into delta(E)?
 };
 
-/// Interned counterpart of TokenEvidence (resolve spellings on demand via
-/// TokenInterner::spelling).
-struct TokenIdEvidence {
-  TokenId id = 0;
-  double score = 0.5;
-  bool used = false;
-};
-
 /// Full scoring breakdown for one message.
-struct ScoreResult {
-  double score = 0.5;          // I(E) in [0,1], Eq. 3
-  double spam_evidence = 0.0;  // H(E) in the paper's notation, Eq. 4
-  double ham_evidence = 0.0;   // S(E)
+struct ScoreIdResult {
+  double score = 0.5;           // I(E) in [0,1], Eq. 3
+  double spam_evidence = 0.0;   // H(E) in the paper's notation, Eq. 4
+  double ham_evidence = 0.0;    // S(E)
   std::size_t tokens_used = 0;  // n = |delta(E)|
   Verdict verdict = Verdict::unsure;
-  std::vector<TokenEvidence> evidence;  // one entry per distinct token
-};
-
-/// Scoring breakdown over interned ids; numerically identical to the
-/// ScoreResult the string path produces for the same token set.
-struct ScoreIdResult {
-  double score = 0.5;
-  double spam_evidence = 0.0;
-  double ham_evidence = 0.0;
-  std::size_t tokens_used = 0;
-  Verdict verdict = Verdict::unsure;
-  std::vector<TokenIdEvidence> evidence;  // in input-id order
+  std::vector<TokenIdEvidence> evidence;  // one per id, in input order
 };
 
 /// Stateless scorer over a TokenDatabase snapshot.
@@ -82,10 +61,6 @@ class Classifier {
 
   /// f(w) for an interned token (the hot-path form).
   double token_score(const TokenDatabase& db, TokenId id) const;
-
-  /// Scores a deduplicated token set; fills the full breakdown. Interns
-  /// every token (the interner grows with each unseen spelling).
-  ScoreResult score(const TokenDatabase& db, const TokenSet& tokens) const;
 
   /// ScoreEngine::score_ids(db, ids) on the calling thread's engine.
   ScoreIdResult score_ids(const TokenDatabase& db,

@@ -13,10 +13,6 @@ Filter::Filter(FilterOptions opts)
       tokenizer_(opts.tokenizer),
       classifier_(opts.classifier) {}
 
-TokenSet Filter::message_tokens(const email::Message& msg) const {
-  return unique_tokens(tokenizer_.tokenize(msg));
-}
-
 TokenIdSet Filter::message_token_ids(const email::Message& msg) const {
   return tokenizer_.tokenize_id_set(msg);
 }
@@ -46,24 +42,6 @@ void Filter::untrain_spam(const email::Message& msg) {
   db_.untrain_spam_ids(message_token_ids(msg));
 }
 
-void Filter::train_ham_tokens(const TokenSet& tokens, std::uint32_t copies) {
-  db_.train_ham(tokens, copies);
-}
-
-void Filter::train_spam_tokens(const TokenSet& tokens, std::uint32_t copies) {
-  db_.train_spam(tokens, copies);
-}
-
-void Filter::untrain_ham_tokens(const TokenSet& tokens,
-                                std::uint32_t copies) {
-  db_.untrain_ham(tokens, copies);
-}
-
-void Filter::untrain_spam_tokens(const TokenSet& tokens,
-                                 std::uint32_t copies) {
-  db_.untrain_spam(tokens, copies);
-}
-
 void Filter::train_ham_ids(const TokenIdSet& ids, std::uint32_t copies) {
   db_.train_ham_ids(ids, copies);
 }
@@ -82,10 +60,6 @@ void Filter::untrain_spam_ids(const TokenIdSet& ids, std::uint32_t copies) {
 
 ScoreIdResult Filter::classify(const email::Message& msg) const {
   return classify_ids(classify_token_ids(msg));
-}
-
-ScoreResult Filter::classify_tokens(const TokenSet& tokens) const {
-  return classifier_.score(db_, tokens);
 }
 
 ScoreIdResult Filter::classify_ids(const TokenIdSet& ids) const {

@@ -11,12 +11,11 @@
 //   auto result = filter.classify(incoming);
 //   if (result.verdict == Verdict::spam) { ... }
 //
-// Hot paths: the *_ids methods operate on interned TokenIdSet message
-// representations (see interner.h) — tokenize a message once with
+// Pre-tokenized messages are interned TokenIdSets (see interner.h), the
+// only token form the model accepts: tokenize a message once with
 // message_token_ids() (train) or classify_token_ids() (classify), then
-// train/untrain/classify with pure id arrays. Every classify method scores
-// through the calling thread's ScoreEngine (score_engine.h); the
-// string-set methods are thin wrappers that intern and forward.
+// train/untrain/classify with the *_ids methods. Every classify method
+// scores through the calling thread's ScoreEngine (score_engine.h).
 #pragma once
 
 #include <cstdint>
@@ -52,13 +51,6 @@ class Filter {
   void untrain_ham(const email::Message& msg);
   void untrain_spam(const email::Message& msg);
 
-  /// Pre-tokenized string-set variants (compatibility wrappers; they intern
-  /// and forward to the id path).
-  void train_ham_tokens(const TokenSet& tokens, std::uint32_t copies = 1);
-  void train_spam_tokens(const TokenSet& tokens, std::uint32_t copies = 1);
-  void untrain_ham_tokens(const TokenSet& tokens, std::uint32_t copies = 1);
-  void untrain_spam_tokens(const TokenSet& tokens, std::uint32_t copies = 1);
-
   /// Pre-interned variants — the hot paths in the experiment harness, which
   /// tokenizes each corpus message once and reuses the id sets.
   void train_ham_ids(const TokenIdSet& ids, std::uint32_t copies = 1);
@@ -69,17 +61,13 @@ class Filter {
   /// Scores and labels a message: classify_ids(classify_token_ids(msg)).
   ScoreIdResult classify(const email::Message& msg) const;
 
-  /// Scores a pre-tokenized message. Unlike classify(), interns every
-  /// token (Classifier::score): keep it off untrusted input.
-  ScoreResult classify_tokens(const TokenSet& tokens) const;
-
-  /// Scores a pre-interned message — bit-identical score/verdict to the
-  /// string path, with no per-token hashing. Routed through the calling
-  /// thread's ScoreEngine (see score_engine.h): per-token probabilities
-  /// and Fisher log-terms are memoized per database generation, so
-  /// repeated classification against an unchanged database skips the
-  /// libm transcendentals entirely. Safe to call on a shared const Filter
-  /// from any number of threads (one engine per thread).
+  /// Scores a pre-interned message with no per-token hashing. Routed
+  /// through the calling thread's ScoreEngine (see score_engine.h):
+  /// per-token probabilities and Fisher log-terms are memoized per
+  /// database generation, so repeated classification against an unchanged
+  /// database skips the libm transcendentals entirely. Safe to call on a
+  /// shared const Filter from any number of threads (one engine per
+  /// thread).
   ScoreIdResult classify_ids(const TokenIdSet& ids) const;
 
   /// Zero-allocation batch classify: scores ids_of(i) for i in
@@ -96,11 +84,8 @@ class Filter {
                      std::forward<Sink>(sink));
   }
 
-  /// Tokenize-and-deduplicate helper matching what train/classify do.
-  TokenSet message_tokens(const email::Message& msg) const;
-
-  /// Interned counterpart of message_tokens(): one tokenizer pass that
-  /// interns every novel token (what training needs).
+  /// The message's id set for training: one tokenizer pass that interns
+  /// every novel token.
   TokenIdSet message_token_ids(const email::Message& msg) const;
 
   /// The id set classification needs, scoring bit-identically to

@@ -68,7 +68,8 @@ const ScoreEngine::TokenMemo& ScoreEngine::memo_for(const TokenDatabase& db,
   }
   TokenMemo& m = memo_[id];
   if (m.epoch != epoch_) {
-    const double f = detail::score_from_counts(db.counts(id), ns_, nh_, opts_);
+    const TokenCounts c = db.counts(id);
+    const double f = detail::score_from_counts(c.spam, c.ham, ns_, nh_, opts_);
     m.f = f;
     m.distance = detail::neutral_distance(f);
     m.strong = detail::is_discriminator(m.distance, opts_);
@@ -182,14 +183,17 @@ ScoreIdResult ScoreEngine::score_ids(const TokenDatabase& db,
 ScoreIdResult ScoreEngine::score_ids(const TokenDatabase& base,
                                      const SparseTokenDatabase& overlay,
                                      const TokenIdList& ids) {
-  // uint32 sums, then the uint32 -> double conversion bind() performs:
-  // bit-identical inputs to score_from_counts versus a database trained on
-  // base's and overlay's message sets together. The memo is neither read
-  // nor rebound (merged totals move every token's f), so the base memo
-  // stays warm for the next empty-overlay user on this thread.
+  // Counts and totals are summed in double, where every sum of two uint32
+  // values is exact: bit-identical inputs to score_from_counts versus a
+  // database trained on base's and overlay's message sets together, and
+  // no wrap where an untrain left a token's count above its class total.
+  // The memo is neither read nor rebound (merged totals move every token's
+  // f), so the base memo stays warm for the next empty-overlay user on
+  // this thread.
   const double ns =
-      static_cast<double>(base.spam_count() + overlay.spam_count());
-  const double nh = static_cast<double>(base.ham_count() + overlay.ham_count());
+      static_cast<double>(base.spam_count()) + overlay.spam_count();
+  const double nh =
+      static_cast<double>(base.ham_count()) + overlay.ham_count();
   std::vector<TokenIdEvidence> evidence;
   evidence.reserve(ids.size());
   overlay_candidates_.clear();
@@ -197,7 +201,8 @@ ScoreIdResult ScoreEngine::score_ids(const TokenDatabase& base,
     const TokenCounts b = base.counts(id);
     const TokenCounts o = overlay.counts(id);
     const double f = detail::score_from_counts(
-        {b.spam + o.spam, b.ham + o.ham}, ns, nh, opts_);
+        static_cast<double>(b.spam) + o.spam,
+        static_cast<double>(b.ham) + o.ham, ns, nh, opts_);
     evidence.push_back({id, f, false});
     const double distance = detail::neutral_distance(f);
     if (detail::is_discriminator(distance, opts_)) {

@@ -69,9 +69,10 @@ class ScoreEngine {
   ScoreIdResult score_ids(const TokenDatabase& db, const TokenIdList& ids);
 
   /// Scores `ids` against base + overlay without materializing the merge:
-  /// counts and NS/NH are uint32 sums (the caller keeps them from
-  /// wrapping), so the bits equal score_ids() on a database trained on
-  /// both message sets. Leaves the memo and cached_generation() alone.
+  /// counts and NS/NH are exact sums (in double, so an overlay count left
+  /// above its class total by an untrain cannot wrap), and the bits equal
+  /// score_ids() on a database trained on both message sets. Leaves the
+  /// memo and cached_generation() alone.
   ScoreIdResult score_ids(const TokenDatabase& base,
                           const SparseTokenDatabase& overlay,
                           const TokenIdList& ids);

@@ -16,19 +16,21 @@
 
 namespace sbx::spambayes::detail {
 
-/// Eq. 1-2 over raw presence counts. Expressed through per-class presence
-/// ratios, which is exactly NH*NS(w) / (NH*NS(w) + NS*NH(w)) when both
-/// class counts are nonzero and degrades gracefully when one class is
-/// empty; Eq. 2 then shrinks toward the prior x with strength s.
-inline double score_from_counts(TokenCounts c, double ns, double nh,
-                                const ClassifierOptions& opts) {
-  const double spam_ratio = ns > 0 ? c.spam / ns : 0.0;
-  const double ham_ratio = nh > 0 ? c.ham / nh : 0.0;
+/// Eq. 1-2 over raw presence counts NS(w), NH(w), NS and NH. Expressed
+/// through per-class presence ratios, which is exactly NH*NS(w) /
+/// (NH*NS(w) + NS*NH(w)) when both class counts are nonzero and degrades
+/// gracefully when one class is empty; Eq. 2 then shrinks toward the prior
+/// x with strength s. Counts arrive as doubles: every count below 2^53 is
+/// exact there, so a sum of counts never wraps.
+inline double score_from_counts(double spam, double ham, double ns,
+                                double nh, const ClassifierOptions& opts) {
+  const double spam_ratio = ns > 0 ? spam / ns : 0.0;
+  const double ham_ratio = nh > 0 ? ham / nh : 0.0;
   double ps = 0.5;
   if (spam_ratio + ham_ratio > 0) {
     ps = spam_ratio / (spam_ratio + ham_ratio);
   }
-  const double n_w = static_cast<double>(c.spam) + static_cast<double>(c.ham);
+  const double n_w = spam + ham;
   const double s = opts.unknown_word_strength;
   const double x = opts.unknown_word_prob;
   return (s * x + n_w * ps) / (s + n_w);
@@ -63,7 +65,7 @@ inline FisherTerms fisher_terms(double f) {
 /// leaves delta(E), and with it the score and verdict, bit-identical.
 inline bool unseen_token_is_discriminator(const ClassifierOptions& opts) {
   return is_discriminator(
-      neutral_distance(score_from_counts({0, 0}, 0.0, 0.0, opts)), opts);
+      neutral_distance(score_from_counts(0.0, 0.0, 0.0, 0.0, opts)), opts);
 }
 
 }  // namespace sbx::spambayes::detail

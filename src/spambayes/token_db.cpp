@@ -104,24 +104,6 @@ void TokenDatabase::untrain_ham_ids(const TokenIdSet& ids,
   remove(ids, copies, /*spam=*/false);
 }
 
-void TokenDatabase::train_spam(const TokenSet& tokens, std::uint32_t copies) {
-  train_spam_ids(intern_tokens(tokens), copies);
-}
-
-void TokenDatabase::train_ham(const TokenSet& tokens, std::uint32_t copies) {
-  train_ham_ids(intern_tokens(tokens), copies);
-}
-
-void TokenDatabase::untrain_spam(const TokenSet& tokens,
-                                 std::uint32_t copies) {
-  untrain_spam_ids(intern_tokens(tokens), copies);
-}
-
-void TokenDatabase::untrain_ham(const TokenSet& tokens,
-                                std::uint32_t copies) {
-  untrain_ham_ids(intern_tokens(tokens), copies);
-}
-
 TokenCounts TokenDatabase::counts(std::string_view token) const {
   const auto id = global_interner().find(token);
   return id ? counts(*id) : TokenCounts{};

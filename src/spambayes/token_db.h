@@ -12,8 +12,8 @@
 // TokenId (see interner.h): train/untrain/lookup are raw array accesses
 // with no string hashing, and snapshotting a database (experiments copy a
 // clean filter, then graft attacks onto the copy) is a single memcpy-style
-// vector copy instead of a rehash. The string-keyed API and the save()/
-// load() wire format are preserved through the process-wide interner.
+// vector copy instead of a rehash. Lookups by spelling (counts(string_view))
+// and the save()/load() wire format go through the process-wide interner.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "spambayes/interner.h"
-#include "spambayes/tokenizer.h"
 
 namespace sbx::spambayes {
 
@@ -46,27 +45,23 @@ class TokenDatabase {
   /// Records `copies` spam emails, each containing exactly the tokens in
   /// `ids` (a deduplicated id set, see unique_token_ids()). Throws
   /// InvalidArgument, changing neither contents nor generation(), when a
-  /// class total or token count would pass UINT32_MAX. The *_ids methods
-  /// are the hot path; the string-set methods intern and forward.
-  /// (Distinct names, not overloads: a two-element braced string list would
-  /// otherwise ambiguously match vector<uint32_t>'s iterator-pair
-  /// constructor.)
+  /// class total or token count would pass UINT32_MAX. The database takes
+  /// ids only; spellings enter through the tokenizer or load().
+  /// (The _ids suffix stays on purpose: under a plain train_spam name, a
+  /// two-element braced string list such as {"a", "b"} would bind silently
+  /// to vector<uint32_t>'s iterator-pair constructor.)
   void train_spam_ids(const TokenIdSet& ids, std::uint32_t copies = 1);
-  void train_spam(const TokenSet& tokens, std::uint32_t copies = 1);
 
   /// Records `copies` ham emails with the given token set.
   void train_ham_ids(const TokenIdSet& ids, std::uint32_t copies = 1);
-  void train_ham(const TokenSet& tokens, std::uint32_t copies = 1);
 
-  /// Exactly reverses a train_spam call with the same arguments.
+  /// Exactly reverses a train_spam_ids call with the same arguments.
   /// Throws InvalidArgument if the counts would go negative (i.e. the
   /// message was never trained).
   void untrain_spam_ids(const TokenIdSet& ids, std::uint32_t copies = 1);
-  void untrain_spam(const TokenSet& tokens, std::uint32_t copies = 1);
 
-  /// Exactly reverses a train_ham call with the same arguments.
+  /// Exactly reverses a train_ham_ids call with the same arguments.
   void untrain_ham_ids(const TokenIdSet& ids, std::uint32_t copies = 1);
-  void untrain_ham(const TokenSet& tokens, std::uint32_t copies = 1);
 
   /// Number of spam / ham training emails (NS, NH).
   std::uint32_t spam_count() const { return nspam_; }

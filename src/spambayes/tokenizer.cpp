@@ -180,9 +180,10 @@ struct SeenSink {
 /// and each walks three dependent cache lines of the interner; prefetching
 /// those lines a few spellings ahead (TokenInterner::prefetch) overlaps
 /// the misses instead of paying them one after another. A non-null
-/// `emitted` receives the pass's raw token count.
+/// `emitted` receives the pass's raw token count, a non-null `dropped`
+/// whether kLookupOnly dropped a spelling.
 TokenIdSet resolve(const SeenSpellings& seen, IdMode mode,
-                   std::size_t* emitted) {
+                   std::size_t* emitted, bool* dropped) {
   if (emitted != nullptr) *emitted = seen.emitted();
   constexpr std::size_t kAhead[] = {12, 6, 3};  // per prefetch level
   TokenInterner& interner = global_interner();
@@ -203,6 +204,7 @@ TokenIdSet resolve(const SeenSpellings& seen, IdMode mode,
       out.push_back(*id);
     }
   }
+  if (dropped != nullptr) *dropped = out.size() < entries.size();
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -416,10 +418,11 @@ TokenIdList Tokenizer::tokenize_text_ids(std::string_view text) const {
 }
 
 TokenIdSet Tokenizer::tokenize_id_set(const email::Message& msg, IdMode mode,
-                                      std::size_t* emitted) const {
+                                      std::size_t* emitted,
+                                      bool* dropped) const {
   SeenSpellings& seen = seen_for_current_thread();
   Emitter<SeenSink>(opts_, SeenSink{&seen}).message(msg);
-  return resolve(seen, mode, emitted);
+  return resolve(seen, mode, emitted, dropped);
 }
 
 TokenIdSet Tokenizer::tokenize_text_id_set(std::string_view text,
@@ -427,7 +430,7 @@ TokenIdSet Tokenizer::tokenize_text_id_set(std::string_view text,
                                            std::size_t* emitted) const {
   SeenSpellings& seen = seen_for_current_thread();
   Emitter<SeenSink>(opts_, SeenSink{&seen}).text(text);
-  return resolve(seen, mode, emitted);
+  return resolve(seen, mode, emitted, nullptr);
 }
 
 TokenSet unique_tokens(const TokenList& tokens) {
@@ -440,16 +443,6 @@ TokenSet unique_tokens(const TokenList& tokens) {
 TokenIdSet unique_token_ids(TokenIdList ids) {
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
-}
-
-TokenIdSet intern_tokens(const TokenSet& tokens) {
-  TokenIdList ids;
-  ids.reserve(tokens.size());
-  TokenInterner& interner = global_interner();
-  for (const auto& t : tokens) ids.push_back(interner.intern(t));
-  // A deduplicated string set maps to distinct ids; only the order changes.
-  std::sort(ids.begin(), ids.end());
   return ids;
 }
 

@@ -18,7 +18,7 @@
 //    spammy header tokens).
 //
 // Tokens are returned with duplicates; the classifier counts *presence*, so
-// TokenDatabase consumes the deduplicated set (unique_tokens()).
+// TokenDatabase consumes the deduplicated id set (tokenize_id_set()).
 //
 // Output forms. One emitter produces every form, so the token streams are
 // byte-identical across them:
@@ -37,7 +37,10 @@
 //    IdMode::kLookupOnly only looks tokens up and drops those the interner
 //    has never seen, so it never grows process-global state. That is the
 //    serving layer's classify path (Filter::classify_token_ids() decides
-//    when dropping them leaves the score unchanged).
+//    when dropping them leaves the score unchanged) and its Untrain path,
+//    which asks the pass whether it dropped one: a never-interned token
+//    has count 0 everywhere, so such an untrain must fail unless it is
+//    the retry of one already applied.
 //
 // Byte classes (whitespace, alphanumerics, word characters) and
 // lower-casing are the C locale's, read from inline 256-entry tables:
@@ -58,13 +61,15 @@ namespace sbx::spambayes {
 /// A list of tokens in occurrence order (may contain duplicates).
 using TokenList = std::vector<std::string>;
 
-/// A deduplicated, sorted token set (what training/classification uses).
+/// A deduplicated, sorted set of spellings (unique_tokens()): the
+/// tokenizer's spelling reference, and the word lists attacks turn into
+/// message text. The model itself takes TokenIdSets.
 using TokenSet = std::vector<std::string>;
 
 /// What tokenize_id_set() does with a token the interner has never seen.
 enum class IdMode : std::uint8_t {
   kIntern,      // intern it: training and experiments
-  kLookupOnly,  // drop it and leave the interner untouched: served classify
+  kLookupOnly,  // drop it, interner untouched: served classify and untrain
 };
 
 /// Stateless tokenizer; cheap to copy and safe to share between threads
@@ -88,10 +93,12 @@ class Tokenizer {
   /// unique_token_ids(tokenize_ids(msg)) under IdMode::kIntern, and to
   /// that set restricted to already-interned tokens under kLookupOnly.
   /// A non-null `emitted` receives tokenize(msg).size(), the raw token
-  /// count with duplicates (in either mode), counted in the same pass.
+  /// count with duplicates (in either mode), and a non-null `dropped`
+  /// whether kLookupOnly dropped any spelling, both from the same pass.
   TokenIdSet tokenize_id_set(const email::Message& msg,
                              IdMode mode = IdMode::kIntern,
-                             std::size_t* emitted = nullptr) const;
+                             std::size_t* emitted = nullptr,
+                             bool* dropped = nullptr) const;
   TokenIdSet tokenize_text_id_set(std::string_view text,
                                   IdMode mode = IdMode::kIntern,
                                   std::size_t* emitted = nullptr) const;
@@ -102,9 +109,8 @@ class Tokenizer {
   TokenizerOptions opts_;
 };
 
-/// Deduplicates a token list into a sorted set. Classification and training
-/// operate on token presence (Eq. 1 counts emails containing w, not
-/// occurrences), so this is the canonical form.
+/// Deduplicates a token list into a sorted spelling set: presence, as Eq. 1
+/// counts it (emails containing w, not occurrences).
 TokenSet unique_tokens(const TokenList& tokens);
 
 /// Deduplicates an id list into an ascending TokenIdSet (same presence
@@ -112,9 +118,6 @@ TokenSet unique_tokens(const TokenList& tokens);
 /// injective). For merging id sets; a single message's set comes from
 /// Tokenizer::tokenize_id_set().
 TokenIdSet unique_token_ids(TokenIdList ids);
-
-/// Interns an already-deduplicated string set into an id set.
-TokenIdSet intern_tokens(const TokenSet& tokens);
 
 /// Strips non-word characters (anything outside the tokenizer's word-char
 /// set: alnum, ', -, $, !) from both ends of `word` — the normalization

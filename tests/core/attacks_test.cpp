@@ -12,10 +12,13 @@
 #include "corpus/generator.h"
 #include "email/builder.h"
 #include "spambayes/filter.h"
+#include "support/token_ids.h"
 #include "util/error.h"
 
 namespace sbx::core {
 namespace {
+
+using test_support::intern_tokens;
 
 TEST(Taxonomy, Descriptions) {
   AttackProperties dictionary = DictionaryAttack::properties();
@@ -53,22 +56,25 @@ TEST(AttackMath, AddingAttackWordsNeverLowersScore) {
   // word-by-word monotonically raises the score of a message whose words
   // the payload progressively covers.
   spambayes::TokenDatabase db;
-  db.train_ham({"alpha", "beta", "gamma", "delta"}, 10);
-  db.train_spam({"junk"}, 10);
+  db.train_ham_ids(intern_tokens({"alpha", "beta", "gamma", "delta"}), 10);
+  db.train_spam_ids(intern_tokens({"junk"}), 10);
   spambayes::Classifier classifier;
-  spambayes::TokenSet msg = {"alpha", "beta", "gamma", "delta"};
+  const spambayes::TokenIdSet msg =
+      intern_tokens({"alpha", "beta", "gamma", "delta"});
 
+  const spambayes::TokenIdSet junk = intern_tokens({"junk"});
   spambayes::TokenSet attack = {"junk"};
-  double prev = score_under_attack(classifier, db, msg, attack, 10);
+  double prev = score_under_attack(classifier, db, msg, junk, 10);
   for (const char* word : {"alpha", "beta", "gamma", "delta"}) {
     attack.push_back(word);
     std::sort(attack.begin(), attack.end());
-    double cur = score_under_attack(classifier, db, msg, attack, 10);
+    double cur =
+        score_under_attack(classifier, db, msg, intern_tokens(attack), 10);
     EXPECT_GE(cur, prev - 1e-12) << word;
     prev = cur;
   }
   // Full coverage beats no coverage strictly.
-  EXPECT_GT(prev, score_under_attack(classifier, db, msg, {"junk"}, 10));
+  EXPECT_GT(prev, score_under_attack(classifier, db, msg, junk, 10));
 }
 
 class DictionaryAttackTest : public ::testing::Test {
@@ -275,18 +281,20 @@ TEST_F(FocusedAttackTest, ExtraWordsAppendFillerWithoutTouchingTarget) {
   // attack: the target's score under the padded attack is >= under the
   // lean attack.
   spambayes::TokenDatabase db;
-  db.train_ham({"alpha", "beta", "gamma"}, 20);
-  db.train_spam({"junk"}, 20);
+  db.train_ham_ids(intern_tokens({"alpha", "beta", "gamma"}), 20);
+  db.train_spam_ids(intern_tokens({"junk"}), 20);
   spambayes::Classifier classifier;
   util::Rng rng2(22);
   FocusedAttack lean({1.0, 0, false}, target, rng2);
   auto payload_set = [](const FocusedAttack& a) {
-    return spambayes::unique_tokens(a.guessed_words());
+    return intern_tokens(spambayes::unique_tokens(a.guessed_words()));
   };
+  const spambayes::TokenIdSet target_ids =
+      intern_tokens({"alpha", "beta", "gamma"});
   const double with_filler = score_under_attack(
-      classifier, db, {"alpha", "beta", "gamma"}, payload_set(attack), 10);
-  const double lean_score = score_under_attack(
-      classifier, db, {"alpha", "beta", "gamma"}, payload_set(lean), 10);
+      classifier, db, target_ids, payload_set(attack), 10);
+  const double lean_score =
+      score_under_attack(classifier, db, target_ids, payload_set(lean), 10);
   EXPECT_GE(with_filler, lean_score - 1e-12);
 }
 

@@ -6,6 +6,7 @@
 #include "core/dynamic_threshold.h"
 #include "core/roni.h"
 #include "corpus/generator.h"
+#include "support/token_ids.h"
 #include "util/error.h"
 
 namespace sbx::core {
@@ -35,7 +36,8 @@ TEST_F(RoniTest, RequiresLargeEnoughPool) {
   RoniDefense defense({20, 50, 5, 5.5}, {});
   util::Rng rng(1);
   auto pool = tokenized_pool(generator(), 30, rng);
-  EXPECT_THROW(defense.assess({"x"}, pool, rng), InvalidArgument);
+  EXPECT_THROW(defense.assess(test_support::intern_tokens({"x"}), pool, rng),
+               InvalidArgument);
 }
 
 TEST_F(RoniTest, DictionaryAttackEmailRejected) {
@@ -44,9 +46,8 @@ TEST_F(RoniTest, DictionaryAttackEmailRejected) {
   auto pool = tokenized_pool(generator(), 300, rng);
   DictionaryAttack attack = DictionaryAttack::usenet(generator().lexicons());
   spambayes::Tokenizer tok;
-  auto attack_tokens =
-      spambayes::unique_tokens(tok.tokenize(attack.attack_message()));
-  RoniAssessment a = defense.assess(attack_tokens, pool, rng);
+  auto attack_ids = tok.tokenize_id_set(attack.attack_message());
+  RoniAssessment a = defense.assess(attack_ids, pool, rng);
   EXPECT_TRUE(a.rejected);
   EXPECT_GT(a.mean_ham_as_ham_decrease, 5.5);
   EXPECT_EQ(a.per_trial.size(), RoniConfig{}.resamples);
@@ -59,9 +60,8 @@ TEST_F(RoniTest, OrdinarySpamAccepted) {
   spambayes::Tokenizer tok;
   util::Rng spam_rng(4);
   for (int i = 0; i < 5; ++i) {
-    auto tokens = spambayes::unique_tokens(
-        tok.tokenize(generator().generate_spam(spam_rng)));
-    RoniAssessment a = defense.assess(tokens, pool, rng);
+    auto ids = tok.tokenize_id_set(generator().generate_spam(spam_rng));
+    RoniAssessment a = defense.assess(ids, pool, rng);
     EXPECT_FALSE(a.rejected) << "spam email " << i << " impact "
                              << a.mean_ham_as_ham_decrease;
   }
@@ -74,11 +74,11 @@ TEST_F(RoniTest, DeterministicGivenRng) {
     return tokenized_pool(generator(), 200, rng);
   }();
   spambayes::Tokenizer tok;
-  auto tokens = spambayes::unique_tokens(tok.tokenize(
-      DictionaryAttack::aspell(generator().lexicons()).attack_message()));
+  auto ids = tok.tokenize_id_set(
+      DictionaryAttack::aspell(generator().lexicons()).attack_message());
   util::Rng r1(6), r2(6);
-  RoniAssessment a1 = defense.assess(tokens, pool, r1);
-  RoniAssessment a2 = defense.assess(tokens, pool, r2);
+  RoniAssessment a1 = defense.assess(ids, pool, r1);
+  RoniAssessment a2 = defense.assess(ids, pool, r2);
   EXPECT_EQ(a1.per_trial, a2.per_trial);
   EXPECT_EQ(a1.rejected, a2.rejected);
 }
@@ -200,14 +200,14 @@ TEST(ComputeDynamicThresholds, AttackShiftsThresholdsUp) {
   for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
 
   spambayes::Tokenizer tok;
-  auto attack_tokens = spambayes::unique_tokens(tok.tokenize(
-      DictionaryAttack::usenet(gen.lexicons()).attack_message()));
+  auto attack_ids = tok.tokenize_id_set(
+      DictionaryAttack::usenet(gen.lexicons()).attack_message());
 
   util::Rng r1(14), r2(14);
   ThresholdPair clean = compute_dynamic_thresholds(
       pool, indices, {}, {}, {0.05, 0.95}, r1);
   ThresholdPair attacked = compute_dynamic_thresholds(
-      pool, indices, {{attack_tokens, 40}}, {}, {0.05, 0.95}, r2);
+      pool, indices, {{attack_ids, 40}}, {}, {0.05, 0.95}, r2);
   // Under attack every score inflates; the data-driven thresholds chase
   // them upward (this is the defense's entire point).
   EXPECT_GT(attacked.theta1, clean.theta0);

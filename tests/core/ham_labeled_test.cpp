@@ -56,8 +56,7 @@ TEST_F(HamLabeledEndToEnd, WhitensCampaignVocabulary) {
   const double before = spam_score_mean();
   // 2% ham-labeled injection.
   spambayes::Tokenizer tok;
-  filter.train_ham_tokens(
-      spambayes::unique_tokens(tok.tokenize(attack.attack_message())), 16);
+  filter.train_ham_ids(tok.tokenize_id_set(attack.attack_message()), 16);
   const double after = spam_score_mean();
   EXPECT_LT(after, before - 0.05);
 
@@ -80,9 +79,8 @@ TEST_F(HamLabeledEndToEnd, InvisibleToRoni) {
   std::vector<std::string> payload = generator().spam_vocab_words();
   HamLabeledAttack attack(payload, generator().generate_ham(rng).headers());
   RoniDefense roni({}, {});
-  auto assessment = roni.assess(
-      spambayes::unique_tokens(tok.tokenize(attack.attack_message())),
-      tokenized, rng);
+  auto assessment =
+      roni.assess(tok.tokenize_id_set(attack.attack_message()), tokenized, rng);
   EXPECT_FALSE(assessment.rejected);
   EXPECT_LE(assessment.mean_ham_as_ham_decrease, 1.0);
 }

@@ -15,14 +15,12 @@ const corpus::TrecLikeGenerator& generator() {
   return gen;
 }
 
-spambayes::TokenSet usenet_tokens() {
-  static const spambayes::TokenSet tokens = [] {
-    spambayes::Tokenizer tok;
-    return spambayes::unique_tokens(
-        tok.tokenize(core::DictionaryAttack::usenet(generator().lexicons())
-                         .attack_message()));
-  }();
-  return tokens;
+spambayes::TokenIdSet usenet_ids() {
+  static const spambayes::TokenIdSet ids =
+      spambayes::Tokenizer().tokenize_id_set(
+          core::DictionaryAttack::usenet(generator().lexicons())
+              .attack_message());
+  return ids;
 }
 
 RetrainingConfig small_config() {
@@ -48,7 +46,7 @@ TEST(Retraining, CleanTimelineStaysAccurate) {
 }
 
 TEST(Retraining, CumulativePoisonPersists) {
-  std::vector<AttackInjection> injections = {{1, usenet_tokens(), 4}};
+  std::vector<AttackInjection> injections = {{1, usenet_ids(), 4}};
   auto reports =
       run_retraining_timeline(generator(), injections, small_config());
   // Before the attack: clean.
@@ -64,7 +62,7 @@ TEST(Retraining, WindowForgetsPoison) {
   RetrainingConfig config = small_config();
   config.cumulative = false;
   config.window_weeks = 2;
-  std::vector<AttackInjection> injections = {{1, usenet_tokens(), 4}};
+  std::vector<AttackInjection> injections = {{1, usenet_ids(), 4}};
   auto reports = run_retraining_timeline(generator(), injections, config);
   // Poisoned while week 1 is inside the window...
   EXPECT_GT(reports[1].test.ham_misclassified_rate(), 0.5);
@@ -77,7 +75,7 @@ TEST(Retraining, WindowForgetsPoison) {
 TEST(Retraining, RoniGateBlocksInjection) {
   RetrainingConfig config = small_config();
   config.roni_gate = true;
-  std::vector<AttackInjection> injections = {{1, usenet_tokens(), 4}};
+  std::vector<AttackInjection> injections = {{1, usenet_ids(), 4}};
   auto reports = run_retraining_timeline(generator(), injections, config);
   EXPECT_EQ(reports[1].attack_offered, 4u);
   EXPECT_EQ(reports[1].attack_admitted, 0u);
@@ -99,7 +97,7 @@ TEST(Retraining, DynamicThresholdsReported) {
 }
 
 TEST(Retraining, InjectionsOutsideTimelineIgnored) {
-  std::vector<AttackInjection> injections = {{99, usenet_tokens(), 4}};
+  std::vector<AttackInjection> injections = {{99, usenet_ids(), 4}};
   auto reports =
       run_retraining_timeline(generator(), injections, small_config());
   for (const auto& r : reports) {
@@ -120,7 +118,7 @@ TEST(Retraining, Validation) {
 }
 
 TEST(Retraining, Deterministic) {
-  std::vector<AttackInjection> injections = {{1, usenet_tokens(), 2}};
+  std::vector<AttackInjection> injections = {{1, usenet_ids(), 2}};
   auto a = run_retraining_timeline(generator(), injections, small_config());
   auto b = run_retraining_timeline(generator(), injections, small_config());
   ASSERT_EQ(a.size(), b.size());

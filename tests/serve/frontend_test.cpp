@@ -238,6 +238,48 @@ TEST(ServeFrontend, ClassifyNeverInternsAndMatchesInterningPathBitwise) {
   EXPECT_GT(interner.size(), vocabulary_before);
 }
 
+// Untrain only looks tokens up. An untrain holding a word the interner has
+// never seen must fail (the word has count 0 in every model), and it fails
+// before anything is interned, logged or published.
+TEST(ServeFrontend, RejectedUntrainNeverInterns) {
+  ServeFrontend frontend(build_base_filter(small_base()), {2, 8});
+  TrainRequest t;
+  t.user_id = 3;
+  t.message = spam_messages(1, 41)[0];
+  frontend.train(t);
+  const OverlaySnapshot trained = frontend.overlay(3);
+  ASSERT_NE(trained, nullptr);
+
+  spambayes::TokenInterner& interner = spambayes::global_interner();
+  const std::size_t vocabulary_before = interner.size();
+  UntrainRequest u;
+  u.user_id = 3;
+  u.request_id = 1;
+  u.message = with_novel_words(t.message, "un", 0, 1);
+  const Response r = frontend.dispatch(Request(u));
+  ASSERT_TRUE(std::holds_alternative<ErrorResponse>(r));
+  EXPECT_EQ(std::get<ErrorResponse>(r).code,
+            static_cast<std::uint8_t>(ErrorCode::kGeneric));
+  EXPECT_EQ(interner.size(), vocabulary_before);
+  EXPECT_EQ(frontend.overlay(3), trained);
+  EXPECT_EQ(trained->generation(), frontend.overlay(3)->generation());
+  EXPECT_EQ(trained->bytes(), frontend.overlay(3)->bytes());
+
+  for (std::uint64_t i = 0; i < 50; ++i) {
+    u.request_id = 2 + i;
+    u.message = with_novel_words(t.message, "un", 100 * (i + 1), 20);
+    EXPECT_TRUE(std::holds_alternative<ErrorResponse>(
+        frontend.dispatch(Request(u))));
+  }
+  EXPECT_EQ(interner.size(), vocabulary_before);
+
+  // The exact untrain still applies.
+  u.request_id = 100;
+  u.message = t.message;
+  frontend.untrain(u);
+  EXPECT_EQ(frontend.overlay(3)->spam_count(), 0u);
+}
+
 // With unknown_word_prob = 0.8 a never-seen token scores 0.8 and is a
 // discriminator, so dropping it would change scores. The frontend then
 // interns, exactly like the interning paths, and stays bit-identical.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <filesystem>
@@ -20,6 +21,7 @@
 #include "serve/frontend.h"
 #include "serve/recovery.h"
 #include "serve/wal.h"
+#include "spambayes/interner.h"
 #include "util/error.h"
 #include "util/random.h"
 
@@ -280,6 +282,63 @@ TEST(Recovery, DedupWindowSurvivesSnapshotting) {
   const TrainResponse retry = recovered->train(t);
   EXPECT_EQ(retry.overlay_ham, 1u);
   EXPECT_EQ(recovered->stats().deduped_mutations, 1u);
+}
+
+// A retried Untrain must be absorbed by dedup even when its message holds
+// a word the restarted process never interned: the filler trains compact
+// Train(M) + Untrain(M) into a full snapshot, which omits the word's zero
+// counts. The first run is a child process, because the process-global
+// interner only grows and would still know the word after a "restart".
+TEST(Recovery, RetriedUntrainOfWordOnlyTheSnapshotSawIsDeduped) {
+  TempDataDir dir("untrainretry");
+  const auto known = [] {
+    return spambayes::global_interner().find("qzretrywx").has_value();
+  };
+  ASSERT_FALSE(known());
+  TrainRequest t;
+  t.user_id = 2;
+  t.message = "Subject: retry\n\nplease keep qzretrywx\n";
+  t.request_id = 887;
+  UntrainRequest u;
+  u.user_id = t.user_id;
+  u.message = t.message;
+  u.request_id = 888;
+
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    try {
+      auto durable = durable_frontend(dir.path, /*snapshot_every=*/1);
+      durable->train(t);
+      if (durable->untrain(u).overlay_spam != 0) ::_exit(3);
+      t.as_spam = false;
+      t.request_id = 0;
+      for (const std::string& m :
+           make_messages(kCompactChainAfterSegments, 59)) {
+        t.message = m;
+        durable->train(t);
+      }
+    } catch (...) {
+      ::_exit(4);
+    }
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0) << "first run failed";
+
+  auto recovered = durable_frontend(dir.path, 1);
+  const RecoveryStats rs = recover(*recovered, dir.path, true);
+  recovered->durability()->note_recovered_seqno(rs.max_seqno);
+  EXPECT_EQ(rs.replayed_records, 0u);
+  ASSERT_FALSE(known());
+  EXPECT_EQ(recovered->untrain(u).overlay_spam, 0u);
+  EXPECT_EQ(recovered->stats().deduped_mutations, 1u);
+  // A new Untrain of the same message is not a retry: it is rejected.
+  u.request_id = 889;
+  EXPECT_THROW(recovered->untrain(u), InvalidArgument);
+  EXPECT_FALSE(known());
 }
 
 // An Untrain of a message that was never trained is accepted when its

@@ -7,18 +7,25 @@
 
 #include <gtest/gtest.h>
 
+#include "support/token_ids.h"
 #include "util/error.h"
 #include "util/stats.h"
 
 namespace sbx::spambayes {
 namespace {
 
+using test_support::intern_tokens;
+
 ClassifierOptions default_opts() { return ClassifierOptions{}; }
+
+std::string_view spelling(const TokenIdEvidence& ev) {
+  return global_interner().spelling(ev.id);
+}
 
 TEST(TokenScore, UnknownTokenGetsPrior) {
   TokenDatabase db;
-  db.train_spam({"other"});
-  db.train_ham({"another"});
+  db.train_spam_ids(intern_tokens({"other"}));
+  db.train_ham_ids(intern_tokens({"another"}));
   Classifier c(default_opts());
   // N(w) = 0 -> f = x = 0.5.
   EXPECT_DOUBLE_EQ(c.token_score(db, "never-seen"), 0.5);
@@ -27,11 +34,11 @@ TEST(TokenScore, UnknownTokenGetsPrior) {
 TEST(TokenScore, HandComputedFixture) {
   // NS = 3 spam, NH = 2 ham; token "w": NS(w) = 2, NH(w) = 1.
   TokenDatabase db;
-  db.train_spam({"w", "s1"});
-  db.train_spam({"w", "s2"});
-  db.train_spam({"s3"});
-  db.train_ham({"w"});
-  db.train_ham({"h1"});
+  db.train_spam_ids(intern_tokens({"w", "s1"}));
+  db.train_spam_ids(intern_tokens({"w", "s2"}));
+  db.train_spam_ids(intern_tokens({"s3"}));
+  db.train_ham_ids(intern_tokens({"w"}));
+  db.train_ham_ids(intern_tokens({"h1"}));
 
   // Eq. 1: PS = NH*NS(w) / (NH*NS(w) + NS*NH(w)) = 2*2 / (2*2 + 3*1) = 4/7.
   // Eq. 2: N(w) = 3, s = 0.45, x = 0.5:
@@ -43,8 +50,8 @@ TEST(TokenScore, HandComputedFixture) {
 
 TEST(TokenScore, PureSpamAndPureHamTokens) {
   TokenDatabase db;
-  db.train_spam({"spammy"}, 50);
-  db.train_ham({"hammy"}, 50);
+  db.train_spam_ids(intern_tokens({"spammy"}), 50);
+  db.train_ham_ids(intern_tokens({"hammy"}), 50);
   Classifier c(default_opts());
   // PS = 1 for spam-only tokens; f -> (s*x + N) / (s + N), close to 1.
   const double fs = c.token_score(db, "spammy");
@@ -62,10 +69,10 @@ TEST(TokenScore, PrevalenceNormalization) {
   // Eq. 1 normalizes by class sizes: a token present in 1 of 10 spam and
   // 1 of 100 ham leans spammy even though the raw counts are equal.
   TokenDatabase db;
-  db.train_spam({"w"});
-  db.train_spam({"filler"}, 9);
-  db.train_ham({"w"});
-  db.train_ham({"hfiller"}, 99);
+  db.train_spam_ids(intern_tokens({"w"}));
+  db.train_spam_ids(intern_tokens({"filler"}), 9);
+  db.train_ham_ids(intern_tokens({"w"}));
+  db.train_ham_ids(intern_tokens({"hfiller"}), 99);
   Classifier c(default_opts());
   // PS = (1/10) / (1/10 + 1/100) = 10/11.
   const double expected_ps = (1.0 / 10.0) / (1.0 / 10.0 + 1.0 / 100.0);
@@ -81,10 +88,10 @@ TEST(TokenScore, EmptyDatabaseYieldsPrior) {
 
 TEST(Score, EmptyTokenSetIsUnsureMidpoint) {
   TokenDatabase db;
-  db.train_spam({"x"});
-  db.train_ham({"y"});
+  db.train_spam_ids(intern_tokens({"x"}));
+  db.train_ham_ids(intern_tokens({"y"}));
   Classifier c(default_opts());
-  ScoreResult r = c.score(db, {});
+  ScoreIdResult r = c.score_ids(db, {});
   EXPECT_DOUBLE_EQ(r.score, 0.5);
   EXPECT_EQ(r.tokens_used, 0u);
   EXPECT_EQ(r.verdict, Verdict::unsure);
@@ -94,18 +101,19 @@ TEST(Score, NeutralTokensExcludedFromDelta) {
   TokenDatabase db;
   // Balanced classes so that a token present once in each has PS exactly
   // 0.5 and falls inside the excluded [0.4, 0.6] band.
-  db.train_spam({"strong", "weak"});
-  db.train_spam({"strong"}, 19);
-  db.train_ham({"filler", "weak"});
-  db.train_ham({"filler"}, 19);
+  db.train_spam_ids(intern_tokens({"strong", "weak"}));
+  db.train_spam_ids(intern_tokens({"strong"}), 19);
+  db.train_ham_ids(intern_tokens({"filler", "weak"}));
+  db.train_ham_ids(intern_tokens({"filler"}), 19);
   Classifier c(default_opts());
-  ScoreResult r = c.score(db, {"strong", "weak", "unknown"});
+  ScoreIdResult r =
+      c.score_ids(db, intern_tokens({"strong", "weak", "unknown"}));
   EXPECT_EQ(r.tokens_used, 1u);
   for (const auto& ev : r.evidence) {
-    if (ev.token == "strong") {
+    if (spelling(ev) == "strong") {
       EXPECT_TRUE(ev.used);
     } else {
-      EXPECT_FALSE(ev.used) << ev.token;
+      EXPECT_FALSE(ev.used) << spelling(ev);
     }
   }
 }
@@ -113,18 +121,20 @@ TEST(Score, NeutralTokensExcludedFromDelta) {
 TEST(Score, SpammyMessageScoresHigh) {
   TokenDatabase db;
   for (int i = 0; i < 20; ++i) {
-    db.train_spam({"viagra", "pills", "cheap"});
-    db.train_ham({"meeting", "budget", "agenda"});
+    db.train_spam_ids(intern_tokens({"viagra", "pills", "cheap"}));
+    db.train_ham_ids(intern_tokens({"meeting", "budget", "agenda"}));
   }
   Classifier c(default_opts());
-  ScoreResult spam = c.score(db, {"viagra", "pills", "cheap"});
+  ScoreIdResult spam =
+      c.score_ids(db, intern_tokens({"viagra", "pills", "cheap"}));
   EXPECT_GT(spam.score, 0.95);
   EXPECT_EQ(spam.verdict, Verdict::spam);
-  ScoreResult ham = c.score(db, {"meeting", "budget", "agenda"});
+  ScoreIdResult ham =
+      c.score_ids(db, intern_tokens({"meeting", "budget", "agenda"}));
   EXPECT_LT(ham.score, 0.05);
   EXPECT_EQ(ham.verdict, Verdict::ham);
-  ScoreResult mixed =
-      c.score(db, {"viagra", "pills", "meeting", "budget"});
+  ScoreIdResult mixed = c.score_ids(
+      db, intern_tokens({"viagra", "pills", "meeting", "budget"}));
   EXPECT_EQ(mixed.verdict, Verdict::unsure);
 }
 
@@ -132,8 +142,8 @@ TEST(Score, HandComputedTwoTokenFisher) {
   // Two tokens with known f values; verify I(E) against a direct
   // evaluation of Eq. 3-4.
   TokenDatabase db;
-  db.train_spam({"a"}, 3);  // f(a) = (0.225 + 3) / 3.45
-  db.train_ham({"b"}, 2);   // f(b) = 0.225 / 2.45
+  db.train_spam_ids(intern_tokens({"a"}), 3);  // f(a) = (0.225 + 3) / 3.45
+  db.train_ham_ids(intern_tokens({"b"}), 2);   // f(b) = 0.225 / 2.45
   Classifier c(default_opts());
   const double fa = c.token_score(db, "a");
   const double fb = c.token_score(db, "b");
@@ -144,7 +154,7 @@ TEST(Score, HandComputedTwoTokenFisher) {
       -2.0 * (std::log1p(-fa) + std::log1p(-fb)), 2);
   const double expected = (1.0 + h - s) / 2.0;
 
-  ScoreResult r = c.score(db, {"a", "b"});
+  ScoreIdResult r = c.score_ids(db, intern_tokens({"a", "b"}));
   EXPECT_EQ(r.tokens_used, 2u);
   EXPECT_NEAR(r.score, expected, 1e-12);
   EXPECT_NEAR(r.spam_evidence, h, 1e-12);
@@ -153,13 +163,13 @@ TEST(Score, HandComputedTwoTokenFisher) {
 
 TEST(Score, AlwaysWithinUnitInterval) {
   TokenDatabase db;
-  db.train_spam({"s1", "s2", "s3"}, 100);
-  db.train_ham({"h1", "h2", "h3"}, 100);
+  db.train_spam_ids(intern_tokens({"s1", "s2", "s3"}), 100);
+  db.train_ham_ids(intern_tokens({"h1", "h2", "h3"}), 100);
   Classifier c(default_opts());
   for (auto tokens :
        {TokenSet{"s1"}, TokenSet{"h1"}, TokenSet{"s1", "h1"},
         TokenSet{"s1", "s2", "s3", "h1", "h2", "h3"}, TokenSet{"zz"}}) {
-    double score = c.score(db, tokens).score;
+    double score = c.score_ids(db, intern_tokens(tokens)).score;
     EXPECT_GE(score, 0.0);
     EXPECT_LE(score, 1.0);
   }
@@ -172,11 +182,11 @@ TEST(Score, MaxDiscriminatorsCapRespected) {
   TokenSet msg;
   for (int i = 0; i < 30; ++i) {
     std::string t = "tok" + std::to_string(i);
-    db.train_spam({t}, 5);
+    db.train_spam_ids(intern_tokens({t}), 5);
     msg.push_back(t);
   }
   Classifier c(opts);
-  ScoreResult r = c.score(db, msg);
+  ScoreIdResult r = c.score_ids(db, intern_tokens(msg));
   EXPECT_EQ(r.tokens_used, 5u);
   std::size_t used = 0;
   for (const auto& ev : r.evidence) used += ev.used ? 1 : 0;
@@ -187,13 +197,13 @@ TEST(Score, StrongestTokensSelectedFirst) {
   ClassifierOptions opts;
   opts.max_discriminators = 1;
   TokenDatabase db;
-  db.train_spam({"mild"}, 2);
-  db.train_ham({"mild"}, 1);
-  db.train_spam({"extreme"}, 50);
+  db.train_spam_ids(intern_tokens({"mild"}), 2);
+  db.train_ham_ids(intern_tokens({"mild"}), 1);
+  db.train_spam_ids(intern_tokens({"extreme"}), 50);
   Classifier c(opts);
-  ScoreResult r = c.score(db, {"mild", "extreme"});
+  ScoreIdResult r = c.score_ids(db, intern_tokens({"mild", "extreme"}));
   for (const auto& ev : r.evidence) {
-    EXPECT_EQ(ev.used, ev.token == "extreme");
+    EXPECT_EQ(ev.used, spelling(ev) == "extreme");
   }
 }
 
@@ -208,20 +218,20 @@ TEST(Score, MonotoneInAttackWordInclusion) {
   Classifier c(default_opts());
   auto score_with_attack = [&](bool include_target) {
     TokenDatabase db;
-    db.train_ham({"target", "other"}, 10);
+    db.train_ham_ids(intern_tokens({"target", "other"}), 10);
     TokenSet attack = {"decoy"};
     if (include_target) attack.push_back("target");
-    db.train_spam(attack, 10);
-    return c.score(db, message);
+    db.train_spam_ids(intern_tokens(attack), 10);
+    return c.score_ids(db, intern_tokens(message));
   };
-  ScoreResult without = score_with_attack(false);
-  ScoreResult with = score_with_attack(true);
+  ScoreIdResult without = score_with_attack(false);
+  ScoreIdResult with = score_with_attack(true);
   EXPECT_GT(with.score, without.score);
   // Independence: the excluded token's score is untouched by the new word.
   for (const auto& ev : without.evidence) {
-    if (ev.token != "other") continue;
+    if (spelling(ev) != "other") continue;
     for (const auto& ev2 : with.evidence) {
-      if (ev2.token == "other") {
+      if (spelling(ev2) == "other") {
         EXPECT_DOUBLE_EQ(ev.score, ev2.score);
       }
     }
@@ -265,8 +275,8 @@ TEST_P(MixtureSweep, ScoreIncreasesWithSpamEvidence) {
   const int n = 10;
   TokenDatabase db;
   for (int i = 0; i < n; ++i) {
-    db.train_spam({"s" + std::to_string(i)}, 20);
-    db.train_ham({"h" + std::to_string(i)}, 20);
+    db.train_spam_ids(intern_tokens({"s" + std::to_string(i)}), 20);
+    db.train_ham_ids(intern_tokens({"h" + std::to_string(i)}), 20);
   }
   Classifier c(default_opts());
   const int k = GetParam();
@@ -274,7 +284,7 @@ TEST_P(MixtureSweep, ScoreIncreasesWithSpamEvidence) {
     TokenSet tokens;
     for (int i = 0; i < spam_tokens; ++i) tokens.push_back("s" + std::to_string(i));
     for (int i = spam_tokens; i < n; ++i) tokens.push_back("h" + std::to_string(i));
-    return c.score(db, tokens).score;
+    return c.score_ids(db, intern_tokens(tokens)).score;
   };
   EXPECT_LE(score_for(k), score_for(k + 1) + 1e-12);
 }

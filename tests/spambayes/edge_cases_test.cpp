@@ -6,9 +6,12 @@
 #include "core/dynamic_threshold.h"
 #include "email/builder.h"
 #include "spambayes/filter.h"
+#include "support/token_ids.h"
 
 namespace sbx::spambayes {
 namespace {
+
+using test_support::intern_tokens;
 
 TEST(EdgeCases, DefaultDiscriminatorCapIs150) {
   // A message with 400 strongly scored tokens uses exactly 150 of them,
@@ -17,22 +20,23 @@ TEST(EdgeCases, DefaultDiscriminatorCapIs150) {
   TokenSet msg;
   for (int i = 0; i < 400; ++i) {
     std::string t = "token" + std::to_string(i);
-    db.train_spam({t}, 3);
+    db.train_spam_ids(intern_tokens({t}), 3);
     msg.push_back(t);
   }
   std::sort(msg.begin(), msg.end());
   Classifier c;
-  ScoreResult r = c.score(db, msg);
+  ScoreIdResult r = c.score_ids(db, intern_tokens(msg));
   EXPECT_EQ(r.tokens_used, 150u);
   EXPECT_EQ(r.evidence.size(), 400u);
 }
 
 TEST(EdgeCases, MessageOfOnlyUnknownTokensIsUnsure) {
   TokenDatabase db;
-  db.train_spam({"seen"}, 10);
-  db.train_ham({"also-seen"}, 10);
+  db.train_spam_ids(intern_tokens({"seen"}), 10);
+  db.train_ham_ids(intern_tokens({"also-seen"}), 10);
   Classifier c;
-  ScoreResult r = c.score(db, {"novel1", "novel2", "novel3"});
+  ScoreIdResult r =
+      c.score_ids(db, intern_tokens({"novel1", "novel2", "novel3"}));
   EXPECT_EQ(r.tokens_used, 0u);
   EXPECT_DOUBLE_EQ(r.score, 0.5);
   EXPECT_EQ(r.verdict, Verdict::unsure);
@@ -40,9 +44,9 @@ TEST(EdgeCases, MessageOfOnlyUnknownTokensIsUnsure) {
 
 TEST(EdgeCases, SingleTokenMessage) {
   TokenDatabase db;
-  db.train_spam({"alone"}, 30);
+  db.train_spam_ids(intern_tokens({"alone"}), 30);
   Classifier c;
-  ScoreResult r = c.score(db, {"alone"});
+  ScoreIdResult r = c.score_ids(db, intern_tokens({"alone"}));
   EXPECT_EQ(r.tokens_used, 1u);
   EXPECT_GT(r.score, 0.9);
   EXPECT_EQ(r.verdict, Verdict::spam);
@@ -95,8 +99,8 @@ TEST(EdgeCases, ThresholdUtilityTiesAtExactScores) {
 
 TEST(EdgeCases, BatchTrainingHugeCopyCountsDoNotOverflow) {
   TokenDatabase db;
-  db.train_spam({"w"}, 2'000'000);
-  db.train_spam({"w"}, 2'000'000);
+  db.train_spam_ids(intern_tokens({"w"}), 2'000'000);
+  db.train_spam_ids(intern_tokens({"w"}), 2'000'000);
   EXPECT_EQ(db.spam_count(), 4'000'000u);
   EXPECT_EQ(db.counts("w").spam, 4'000'000u);
   Classifier c;
@@ -110,8 +114,8 @@ TEST(EdgeCases, ScoresAreMidpointSymmetricForMirroredEvidence) {
   // symmetry of Eq. 3.
   TokenDatabase db;
   for (int i = 0; i < 5; ++i) {
-    db.train_spam({"s" + std::to_string(i)}, 10);
-    db.train_ham({"h" + std::to_string(i)}, 10);
+    db.train_spam_ids(intern_tokens({"s" + std::to_string(i)}), 10);
+    db.train_ham_ids(intern_tokens({"h" + std::to_string(i)}), 10);
   }
   Classifier c;
   TokenSet msg;
@@ -120,7 +124,7 @@ TEST(EdgeCases, ScoresAreMidpointSymmetricForMirroredEvidence) {
     msg.push_back("h" + std::to_string(i));
   }
   std::sort(msg.begin(), msg.end());
-  EXPECT_NEAR(c.score(db, msg).score, 0.5, 1e-9);
+  EXPECT_NEAR(c.score_ids(db, intern_tokens(msg)).score, 0.5, 1e-9);
 }
 
 }  // namespace

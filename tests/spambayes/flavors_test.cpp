@@ -8,6 +8,7 @@
 #include "spambayes/classifier.h"
 #include "spambayes/token_db.h"
 #include "spambayes/tokenizer.h"
+#include "support/token_ids.h"
 
 namespace sbx::spambayes {
 namespace {
@@ -81,8 +82,10 @@ TEST(Flavors, BodyPoisonReachesHeaderEvidenceOnlyWhenUnprefixed) {
                                      : TokenizerFlavors::bogofilter();
     Tokenizer tok(opts);
     TokenDatabase db;
-    db.train_spam(unique_tokens(tok.tokenize(attack)), 10);
-    db.train_ham({"neutral", "filler", "words", "here"}, 10);
+    db.train_spam_ids(tok.tokenize_id_set(attack), 10);
+    db.train_ham_ids(
+        test_support::intern_tokens({"neutral", "filler", "words", "here"}),
+        10);
     Classifier c;
     // Find the evidence score of the victim's subject token.
     auto subject_token = prefixed ? "subject:budget" : "budget";

@@ -18,21 +18,30 @@
 #include "eval/runner.h"
 #include "spambayes/filter.h"
 #include "support/reference_scorer.h"
+#include "support/token_ids.h"
 #include "support/tokenizer_inputs.h"
 #include "util/random.h"
 
 namespace sbx::spambayes {
 namespace {
 
+using test_support::intern_tokens;
 using test_support::ref_score;
 using test_support::RefDatabase;
+using test_support::ScoreResult;
+using test_support::spellings;
 
 // --- shared fixture: a trained corpus in both representations --------------
+
+/// The string reference's token set for `m`: the string tokenizer stream,
+/// deduplicated.
+TokenSet string_tokens(const Filter& filter, const email::Message& m) {
+  return unique_tokens(filter.tokenizer().tokenize(m));
+}
 
 struct Corpus {
   RefDatabase ref;
   Filter filter;
-  std::vector<TokenSet> probes_tokens;
   std::vector<TokenIdSet> probes_ids;
 
   explicit Corpus(int train_each = 120, int probes = 60,
@@ -40,17 +49,16 @@ struct Corpus {
     const corpus::TrecLikeGenerator& gen = generator();
     util::Rng rng(seed);
     for (int i = 0; i < train_each; ++i) {
-      const TokenSet ham = filter.message_tokens(gen.generate_ham(rng));
-      const TokenSet spam = filter.message_tokens(gen.generate_spam(rng));
-      ref.train(ham, /*spam=*/false);
-      ref.train(spam, /*spam=*/true);
-      filter.train_ham_tokens(ham);
-      filter.train_spam_tokens(spam);
+      const email::Message ham = gen.generate_ham(rng);
+      const email::Message spam = gen.generate_spam(rng);
+      ref.train(string_tokens(filter, ham), /*spam=*/false);
+      ref.train(string_tokens(filter, spam), /*spam=*/true);
+      filter.train_ham_ids(filter.message_token_ids(ham));
+      filter.train_spam_ids(filter.message_token_ids(spam));
     }
     for (int i = 0; i < probes; ++i) {
       const email::Message m =
           i % 2 == 0 ? gen.generate_ham(rng) : gen.generate_spam(rng);
-      probes_tokens.push_back(filter.message_tokens(m));
       probes_ids.push_back(filter.message_token_ids(m));
     }
   }
@@ -158,49 +166,30 @@ TEST(InternedEquivalence, OnePassIdSetMatchesStringReference) {
 TEST(InternedEquivalence, ScoresBitIdenticalToStringKeyedReference) {
   Corpus corpus;
   const ClassifierOptions opts = corpus.filter.options().classifier;
-  for (std::size_t i = 0; i < corpus.probes_tokens.size(); ++i) {
+  const TokenInterner& interner = global_interner();
+  for (std::size_t i = 0; i < corpus.probes_ids.size(); ++i) {
+    // The reference scores the probe's spellings in id order, so evidence
+    // lines up entry for entry.
     const ScoreResult expected =
-        ref_score(corpus.ref, corpus.probes_tokens[i], opts);
-    const ScoreResult via_strings =
-        corpus.filter.classify_tokens(corpus.probes_tokens[i]);
+        ref_score(corpus.ref, spellings(corpus.probes_ids[i]), opts);
     const ScoreIdResult via_ids =
         corpus.filter.classify_ids(corpus.probes_ids[i]);
 
-    // Bitwise equality on every aggregate, through both entry points.
-    EXPECT_EQ(expected.score, via_strings.score) << "probe " << i;
+    // Bitwise equality on every aggregate and every evidence entry.
     EXPECT_EQ(expected.score, via_ids.score) << "probe " << i;
-    EXPECT_EQ(expected.spam_evidence, via_strings.spam_evidence);
     EXPECT_EQ(expected.spam_evidence, via_ids.spam_evidence);
-    EXPECT_EQ(expected.ham_evidence, via_strings.ham_evidence);
     EXPECT_EQ(expected.ham_evidence, via_ids.ham_evidence);
-    EXPECT_EQ(expected.tokens_used, via_strings.tokens_used);
     EXPECT_EQ(expected.tokens_used, via_ids.tokens_used);
-    EXPECT_EQ(expected.verdict, via_strings.verdict);
     EXPECT_EQ(expected.verdict, via_ids.verdict);
-
-    // Evidence equivalence: the string path preserves ordering and flags
-    // exactly; the id path selects the same delta(E) set.
-    ASSERT_EQ(expected.evidence.size(), via_strings.evidence.size());
-    const TokenInterner& interner = global_interner();
-    std::vector<std::string> expected_used;
-    std::vector<std::string> ids_used;
+    ASSERT_EQ(expected.evidence.size(), via_ids.evidence.size());
     for (std::size_t j = 0; j < expected.evidence.size(); ++j) {
-      EXPECT_EQ(expected.evidence[j].token, via_strings.evidence[j].token);
-      EXPECT_EQ(expected.evidence[j].score, via_strings.evidence[j].score);
-      EXPECT_EQ(expected.evidence[j].used, via_strings.evidence[j].used);
-      if (expected.evidence[j].used) {
-        expected_used.push_back(expected.evidence[j].token);
-      }
+      const TokenIdEvidence& ev = via_ids.evidence[j];
+      EXPECT_EQ(expected.evidence[j].token, interner.spelling(ev.id));
+      EXPECT_EQ(expected.evidence[j].score, ev.score);
+      EXPECT_EQ(expected.evidence[j].used, ev.used);
+      EXPECT_EQ(ev.score, corpus.filter.classifier().token_score(
+                              corpus.filter.database(), ev.id));
     }
-    for (const auto& ev : via_ids.evidence) {
-      EXPECT_EQ(ev.score,
-                corpus.filter.classifier().token_score(
-                    corpus.filter.database(), ev.id));
-      if (ev.used) ids_used.emplace_back(interner.spelling(ev.id));
-    }
-    std::sort(expected_used.begin(), expected_used.end());
-    std::sort(ids_used.begin(), ids_used.end());
-    EXPECT_EQ(expected_used, ids_used) << "probe " << i;
   }
 }
 
@@ -218,48 +207,46 @@ TEST(InternedEquivalence, ScoreIsIndependentOfIdOrder) {
 
 // --- training-state equivalence --------------------------------------------
 
-TEST(InternedEquivalence, TrainUntrainCountsMatchStringPath) {
+TEST(InternedEquivalence, TrainUntrainCountsMatchStringKeyedReference) {
   const corpus::TrecLikeGenerator& gen = Corpus::generator();
   util::Rng rng(777);
-  Filter via_strings;
-  Filter via_ids;
+  Filter filter;
+  RefDatabase ref;
   std::vector<TokenSet> sets;
   std::vector<TokenIdSet> id_sets;
   for (int i = 0; i < 40; ++i) {
     const email::Message m =
         i % 2 == 0 ? gen.generate_ham(rng) : gen.generate_spam(rng);
-    sets.push_back(via_strings.message_tokens(m));
-    id_sets.push_back(via_strings.message_token_ids(m));
+    sets.push_back(string_tokens(filter, m));
+    id_sets.push_back(filter.message_token_ids(m));
   }
   for (int i = 0; i < 40; ++i) {
     const auto copies = static_cast<std::uint32_t>(1 + i % 3);
+    ref.train(sets[i], /*spam=*/i % 2 != 0, copies);
     if (i % 2 == 0) {
-      via_strings.train_ham_tokens(sets[i], copies);
-      via_ids.train_ham_ids(id_sets[i], copies);
+      filter.train_ham_ids(id_sets[i], copies);
     } else {
-      via_strings.train_spam_tokens(sets[i], copies);
-      via_ids.train_spam_ids(id_sets[i], copies);
+      filter.train_spam_ids(id_sets[i], copies);
     }
   }
   auto expect_equal_databases = [&] {
-    const TokenDatabase& a = via_strings.database();
-    const TokenDatabase& b = via_ids.database();
-    EXPECT_EQ(a.spam_count(), b.spam_count());
-    EXPECT_EQ(a.ham_count(), b.ham_count());
-    EXPECT_EQ(a.vocabulary_size(), b.vocabulary_size());
-    EXPECT_EQ(a.tokens(), b.tokens());
+    const TokenDatabase& db = filter.database();
+    EXPECT_EQ(db.spam_count(), ref.nspam);
+    EXPECT_EQ(db.ham_count(), ref.nham);
+    EXPECT_EQ(db.vocabulary_size(), ref.counts.size());
+    for (const auto& [token, counts] : ref.counts) {
+      EXPECT_EQ(db.counts(token), counts) << token;
+    }
   };
   expect_equal_databases();
-  // Untrain half of the messages again, through the opposite entry points
-  // to cross-check the wrappers.
+  // Untrain half of the messages again.
   for (int i = 0; i < 20; ++i) {
     const auto copies = static_cast<std::uint32_t>(1 + i % 3);
+    ref.untrain(sets[i], /*spam=*/i % 2 != 0, copies);
     if (i % 2 == 0) {
-      via_strings.untrain_ham_ids(id_sets[i], copies);
-      via_ids.untrain_ham_tokens(sets[i], copies);
+      filter.untrain_ham_ids(id_sets[i], copies);
     } else {
-      via_strings.untrain_spam_ids(id_sets[i], copies);
-      via_ids.untrain_spam_tokens(sets[i], copies);
+      filter.untrain_spam_ids(id_sets[i], copies);
     }
   }
   expect_equal_databases();

@@ -11,10 +11,13 @@
 #include "email/mbox.h"
 #include "email/rfc2822.h"
 #include "spambayes/filter.h"
+#include "support/token_ids.h"
 #include "util/random.h"
 
 namespace sbx::spambayes {
 namespace {
+
+using test_support::intern_tokens;
 
 // --- class symmetry -------------------------------------------------------
 //
@@ -32,13 +35,13 @@ TEST_P(SymmetrySweep, MirroredTrainingMirrorsScore) {
     for (std::size_t j = 0; j < n; ++j) {
       tokens.push_back("w" + std::to_string(rng.index(50)));
     }
-    tokens = unique_tokens(tokens);
+    const TokenIdSet ids = intern_tokens(unique_tokens(tokens));
     if (rng.bernoulli(0.5)) {
-      db.train_spam(tokens);
-      mirrored.train_ham(tokens);
+      db.train_spam_ids(ids);
+      mirrored.train_ham_ids(ids);
     } else {
-      db.train_ham(tokens);
-      mirrored.train_spam(tokens);
+      db.train_ham_ids(ids);
+      mirrored.train_spam_ids(ids);
     }
   }
   Classifier c;
@@ -48,9 +51,9 @@ TEST_P(SymmetrySweep, MirroredTrainingMirrorsScore) {
     for (std::size_t j = 0; j < n; ++j) {
       msg.push_back("w" + std::to_string(rng.index(60)));
     }
-    msg = unique_tokens(msg);
-    const double i1 = c.score(db, msg).score;
-    const double i2 = c.score(mirrored, msg).score;
+    const TokenIdSet ids = intern_tokens(unique_tokens(msg));
+    const double i1 = c.score_ids(db, ids).score;
+    const double i2 = c.score_ids(mirrored, ids).score;
     EXPECT_NEAR(i1, 1.0 - i2, 1e-9);
   }
 }
@@ -112,12 +115,12 @@ TEST_P(SerializationSweep, RandomDatabaseSurvivesRoundTrip) {
           tokens.push_back("url:host" + std::to_string(rng.index(40)));
       }
     }
-    tokens = unique_tokens(tokens);
+    const TokenIdSet ids = intern_tokens(unique_tokens(tokens));
     auto copies = static_cast<std::uint32_t>(1 + rng.index(3));
     if (rng.bernoulli(0.5)) {
-      db.train_spam(tokens, copies);
+      db.train_spam_ids(ids, copies);
     } else {
-      db.train_ham(tokens, copies);
+      db.train_ham_ids(ids, copies);
     }
   }
   std::stringstream ss;
@@ -132,8 +135,10 @@ TEST_P(SerializationSweep, RandomDatabaseSurvivesRoundTrip) {
   }
   // And classification through a filter is bit-identical.
   Classifier c;
-  TokenSet probe = {"word1", "word5", "url:host3", "never-seen"};
-  EXPECT_DOUBLE_EQ(c.score(db, probe).score, c.score(loaded, probe).score);
+  const TokenIdSet probe =
+      intern_tokens({"word1", "word5", "url:host3", "never-seen"});
+  EXPECT_DOUBLE_EQ(c.score_ids(db, probe).score,
+                   c.score_ids(loaded, probe).score);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SerializationSweep,

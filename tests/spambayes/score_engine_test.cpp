@@ -29,6 +29,7 @@
 #include "spambayes/score_engine.h"
 #include "spambayes/sparse_token_db.h"
 #include "support/reference_scorer.h"
+#include "support/token_ids.h"
 #include "util/error.h"
 #include "util/random.h"
 
@@ -37,6 +38,9 @@ namespace {
 
 using test_support::ref_score;
 using test_support::RefDatabase;
+using test_support::ScoreResult;
+using test_support::spellings;
+using test_support::TokenEvidence;
 
 const corpus::TrecLikeGenerator& generator() {
   static const corpus::TrecLikeGenerator gen;
@@ -59,8 +63,8 @@ struct EngineCorpus {
       const email::Message spam = gen.generate_spam(rng);
       filter.train_ham_ids(filter.message_token_ids(ham));
       filter.train_spam_ids(filter.message_token_ids(spam));
-      ref.train(filter.message_tokens(ham), /*spam=*/false);
-      ref.train(filter.message_tokens(spam), /*spam=*/true);
+      ref.train(unique_tokens(filter.tokenizer().tokenize(ham)), false);
+      ref.train(unique_tokens(filter.tokenizer().tokenize(spam)), true);
     }
     for (int i = 0; i < probe_count; ++i) {
       const email::Message m =
@@ -70,15 +74,8 @@ struct EngineCorpus {
   }
 };
 
-/// The spellings of `ids`, in id-list order, so reference evidence lines
-/// up entry for entry with the engine's.
-TokenSet spellings(const TokenIdList& ids) {
-  TokenSet out;
-  for (TokenId id : ids) out.emplace_back(global_interner().spelling(id));
-  return out;
-}
-
-/// The reference scorer's result for `ids` against `ref`.
+/// The reference scorer's result for `ids` against `ref`, its evidence in
+/// id-list order so it lines up entry for entry with the engine's.
 ScoreResult reference(const RefDatabase& ref, const TokenIdList& ids,
                       const ClassifierOptions& opts = {}) {
   return ref_score(ref, spellings(ids), opts);
@@ -142,9 +139,8 @@ TEST(ScoreEngine, BatchPathMatchesReferenceBitwise) {
 }
 
 TEST(ScoreEngine, ForwardsMatchReferenceBitwise) {
-  // Filter::classify_ids and Classifier's id and string forwards all reach
-  // the thread-local engine; each must carry the reference's bits, and the
-  // string forward its input-order spellings.
+  // Filter::classify_ids and Classifier::score_ids both reach the
+  // thread-local engine; each must carry the reference's bits.
   EngineCorpus corpus;
   const Classifier& classifier = corpus.filter.classifier();
   const TokenDatabase& db = corpus.filter.database();
@@ -154,8 +150,6 @@ TEST(ScoreEngine, ForwardsMatchReferenceBitwise) {
                          "classify_ids");
     expect_bitwise_equal(expected, classifier.score_ids(db, probe),
                          "score_ids");
-    expect_bitwise_equal(expected, classifier.score(db, spellings(probe)),
-                         "score");
   }
 }
 
@@ -196,6 +190,35 @@ TEST(ScoreEngine, OverlayFormMatchesReferenceAndKeepsBaseMemo) {
                          engine.score_ids(db, overlay, probe), "overlay");
     EXPECT_EQ(engine.cached_generation(), bound);
   }
+}
+
+TEST(ScoreEngine, OverlayFormSumsCountsWithoutWrapping) {
+  // An untrain of a never-trained (here: empty) message is valid and lowers
+  // NS without touching any token, so an overlay token's count can exceed
+  // its class total and reach UINT32_MAX. Its base count on top must not
+  // wrap the per-token sum back to zero.
+  const TokenId a = global_interner().intern("score-engine-wrap-a");
+  const TokenId h = global_interner().intern("score-engine-wrap-h");
+  TokenDatabase base;
+  base.train_spam_ids({a});
+  base.train_ham_ids({h});
+  SparseTokenDatabase overlay;
+  overlay.train_spam_ids({a}, 1u << 31);
+  overlay.untrain_spam_ids({}, 1u << 31);
+  overlay.train_spam_ids({a}, (1u << 31) - 1);
+  ASSERT_EQ(overlay.counts(a).spam, UINT32_MAX);
+
+  // Merged: NS = 2^31, NH = 1, NS(a) = 2^32, NH(a) = 0, so p(a) = 1 and
+  // f(a) = (s*x + n) / (s + n) with n = 2^32 (Eq. 2).
+  const ClassifierOptions opts;
+  const double n = 4294967296.0;
+  const double exact =
+      (opts.unknown_word_strength * opts.unknown_word_prob + n) /
+      (opts.unknown_word_strength + n);
+  ScoreEngine engine(opts);
+  const ScoreIdResult scored = engine.score_ids(base, overlay, {a});
+  ASSERT_EQ(scored.evidence.size(), 1u);
+  EXPECT_EQ(scored.evidence[0].score, exact);
 }
 
 // --- generation invalidation -----------------------------------------------

@@ -10,17 +10,20 @@
 #include <gtest/gtest.h>
 
 #include "spambayes/tokenizer.h"
+#include "support/token_ids.h"
 #include "util/error.h"
 #include "util/random.h"
 
 namespace sbx::spambayes {
 namespace {
 
+using test_support::intern_tokens;
+
 TEST(TokenDatabase, CountsPresencePerEmail) {
   TokenDatabase db;
-  db.train_spam({"buy", "now"});
-  db.train_spam({"buy"});
-  db.train_ham({"meeting", "now"});
+  db.train_spam_ids(intern_tokens({"buy", "now"}));
+  db.train_spam_ids(intern_tokens({"buy"}));
+  db.train_ham_ids(intern_tokens({"meeting", "now"}));
   EXPECT_EQ(db.spam_count(), 2u);
   EXPECT_EQ(db.ham_count(), 1u);
   EXPECT_EQ(db.counts("buy").spam, 2u);
@@ -33,32 +36,32 @@ TEST(TokenDatabase, CountsPresencePerEmail) {
 }
 
 TEST(TokenDatabase, BatchTrainEqualsRepeatedTrain) {
-  TokenSet tokens = {"alpha", "beta", "gamma"};
+  const TokenIdSet ids = intern_tokens({"alpha", "beta", "gamma"});
   TokenDatabase repeated;
-  for (int i = 0; i < 57; ++i) repeated.train_spam(tokens);
+  for (int i = 0; i < 57; ++i) repeated.train_spam_ids(ids);
   TokenDatabase batched;
-  batched.train_spam(tokens, 57);
+  batched.train_spam_ids(ids, 57);
   EXPECT_EQ(batched.spam_count(), repeated.spam_count());
-  for (const auto& t : tokens) {
-    EXPECT_EQ(batched.counts(t).spam, repeated.counts(t).spam);
+  for (TokenId id : ids) {
+    EXPECT_EQ(batched.counts(id).spam, repeated.counts(id).spam);
   }
 }
 
 TEST(TokenDatabase, ZeroCopiesIsNoop) {
   TokenDatabase db;
-  db.train_spam({"x"}, 0);
+  db.train_spam_ids(intern_tokens({"x"}), 0);
   EXPECT_EQ(db.spam_count(), 0u);
   EXPECT_EQ(db.vocabulary_size(), 0u);
 }
 
 TEST(TokenDatabase, UntrainExactlyReversesTrain) {
   TokenDatabase db;
-  db.train_ham({"keep", "shared"});
-  db.train_spam({"shared", "junk"});
+  db.train_ham_ids(intern_tokens({"keep", "shared"}));
+  db.train_spam_ids(intern_tokens({"shared", "junk"}));
 
   TokenDatabase snapshot = db;
-  db.train_spam({"poison", "shared"}, 5);
-  db.untrain_spam({"poison", "shared"}, 5);
+  db.train_spam_ids(intern_tokens({"poison", "shared"}), 5);
+  db.untrain_spam_ids(intern_tokens({"poison", "shared"}), 5);
 
   EXPECT_EQ(db.spam_count(), snapshot.spam_count());
   EXPECT_EQ(db.ham_count(), snapshot.ham_count());
@@ -73,19 +76,21 @@ TEST(TokenDatabase, UntrainExactlyReversesTrain) {
 
 TEST(TokenDatabase, UntrainUnknownThrows) {
   TokenDatabase db;
-  db.train_spam({"known"});
-  EXPECT_THROW(db.untrain_spam({"unknown"}), InvalidArgument);
-  EXPECT_THROW(db.untrain_spam({"known"}, 2), InvalidArgument);
-  EXPECT_THROW(db.untrain_ham({"known"}), InvalidArgument);
+  db.train_spam_ids(intern_tokens({"known"}));
+  const TokenIdSet known = intern_tokens({"known"});
+  EXPECT_THROW(db.untrain_spam_ids(intern_tokens({"unknown"})),
+               InvalidArgument);
+  EXPECT_THROW(db.untrain_spam_ids(known, 2), InvalidArgument);
+  EXPECT_THROW(db.untrain_ham_ids(known), InvalidArgument);
   TokenDatabase empty;
-  EXPECT_THROW(empty.untrain_spam({"x"}), InvalidArgument);
+  EXPECT_THROW(empty.untrain_spam_ids(intern_tokens({"x"})), InvalidArgument);
 }
 
 TEST(TokenDatabase, MergeAddsCounts) {
   TokenDatabase a, b;
-  a.train_spam({"x", "y"});
-  b.train_spam({"y", "z"}, 2);
-  b.train_ham({"x"});
+  a.train_spam_ids(intern_tokens({"x", "y"}));
+  b.train_spam_ids(intern_tokens({"y", "z"}), 2);
+  b.train_ham_ids(intern_tokens({"x"}));
   a.merge(b);
   EXPECT_EQ(a.spam_count(), 3u);
   EXPECT_EQ(a.ham_count(), 1u);
@@ -97,8 +102,8 @@ TEST(TokenDatabase, MergeAddsCounts) {
 
 TEST(TokenDatabase, SerializationRoundTrip) {
   TokenDatabase db;
-  db.train_spam({"buy", "skip:x 20", "url:pills"});
-  db.train_ham({"meeting", "skip:x 20"}, 3);
+  db.train_spam_ids(intern_tokens({"buy", "skip:x 20", "url:pills"}));
+  db.train_ham_ids(intern_tokens({"meeting", "skip:x 20"}), 3);
 
   std::stringstream ss;
   db.save(ss);
@@ -133,11 +138,11 @@ TEST(TokenDatabase, LoadRejectsMalformedInput) {
 // count must throw instead.
 TEST(TokenDatabase, CountAboveClassTotalRoundTripsAndTrainCannotWrapIt) {
   TokenDatabase db;
-  db.train_spam({"above-a", "above-b"});
-  db.train_spam({"above-a"});
-  db.untrain_spam({"above-b"});
-  db.train_ham({"above-c"}, 2);
-  db.untrain_ham(TokenSet{});
+  db.train_spam_ids(intern_tokens({"above-a", "above-b"}));
+  db.train_spam_ids(intern_tokens({"above-a"}));
+  db.untrain_spam_ids(intern_tokens({"above-b"}));
+  db.train_ham_ids(intern_tokens({"above-c"}), 2);
+  db.untrain_ham_ids({});
   EXPECT_EQ(db.counts("above-a").spam, 2u);
   EXPECT_EQ(db.spam_count(), 1u);
   EXPECT_EQ(db.counts("above-c").ham, 2u);
@@ -173,19 +178,20 @@ TEST(TokenDatabase, CountAboveClassTotalRoundTripsAndTrainCannotWrapIt) {
 
 TEST(TokenDatabase, TrainPastUint32ClassTotalThrowsAndChangesNothing) {
   TokenDatabase db;
-  db.train_spam({"total-a"}, 4294967294u);
+  db.train_spam_ids(intern_tokens({"total-a"}), 4294967294u);
   const std::uint64_t generation = db.generation();
-  EXPECT_THROW(db.train_spam({"total-b"}, 2), InvalidArgument);
+  EXPECT_THROW(db.train_spam_ids(intern_tokens({"total-b"}), 2),
+               InvalidArgument);
   EXPECT_EQ(db.spam_count(), 4294967294u);
   EXPECT_EQ(db.vocabulary_size(), 1u);
   EXPECT_EQ(db.generation(), generation);
-  db.train_spam({"total-b"}, 1);  // exactly UINT32_MAX fits
+  db.train_spam_ids(intern_tokens({"total-b"}), 1);  // exactly UINT32_MAX fits
   EXPECT_EQ(db.spam_count(), 4294967295u);
 }
 
 TEST(TokenDatabase, FileRoundTrip) {
   TokenDatabase db;
-  db.train_spam({"persisted"});
+  db.train_spam_ids(intern_tokens({"persisted"}));
   auto path = std::filesystem::temp_directory_path() / "sbx_tokendb_test.db";
   db.save_file(path.string());
   TokenDatabase loaded = TokenDatabase::load_file(path.string());
@@ -199,30 +205,30 @@ TEST(TokenDatabase, RandomizedTrainUntrainInverse) {
   // reversal restores the empty database.
   util::Rng rng(99);
   TokenDatabase db;
-  std::vector<std::tuple<TokenSet, std::uint32_t, bool>> ops;
+  std::vector<std::tuple<TokenIdSet, std::uint32_t, bool>> ops;
   for (int i = 0; i < 200; ++i) {
     TokenSet tokens;
     std::size_t n = 1 + rng.index(5);
     for (std::size_t j = 0; j < n; ++j) {
       tokens.push_back("tok" + std::to_string(rng.index(30)));
     }
-    tokens = unique_tokens(tokens);
+    TokenIdSet ids = intern_tokens(unique_tokens(tokens));
     auto copies = static_cast<std::uint32_t>(1 + rng.index(4));
     bool spam = rng.bernoulli(0.5);
     if (spam) {
-      db.train_spam(tokens, copies);
+      db.train_spam_ids(ids, copies);
     } else {
-      db.train_ham(tokens, copies);
+      db.train_ham_ids(ids, copies);
     }
-    ops.emplace_back(std::move(tokens), copies, spam);
+    ops.emplace_back(std::move(ids), copies, spam);
   }
   // Reverse in random order (counts are commutative).
   rng.shuffle(ops);
-  for (const auto& [tokens, copies, spam] : ops) {
+  for (const auto& [ids, copies, spam] : ops) {
     if (spam) {
-      db.untrain_spam(tokens, copies);
+      db.untrain_spam_ids(ids, copies);
     } else {
-      db.untrain_ham(tokens, copies);
+      db.untrain_ham_ids(ids, copies);
     }
   }
   EXPECT_EQ(db.spam_count(), 0u);

@@ -2,8 +2,9 @@
 // pre-interning SpamBayes classifier and database
 // (unordered_map<string, TokenCounts>, a full sort of the candidates,
 // spelling tie-break, two single chi-square calls). It shares no code
-// with ScoreEngine beyond the result types and the verdict cutoffs, so
-// the equivalence tests hold the engine to it with EXPECT_EQ on doubles.
+// with ScoreEngine beyond the verdict cutoffs, and keeps its own
+// string-keyed result types, so the equivalence tests hold the engine to
+// it with EXPECT_EQ on doubles.
 #pragma once
 
 #include <algorithm>
@@ -25,10 +26,27 @@ namespace sbx::test_support {
 
 using spambayes::Classifier;
 using spambayes::ClassifierOptions;
-using spambayes::ScoreResult;
 using spambayes::TokenCounts;
-using spambayes::TokenEvidence;
 using spambayes::TokenSet;
+using spambayes::Verdict;
+
+/// One token's contribution to a reference score, keyed by spelling.
+struct TokenEvidence {
+  std::string token;
+  double score = 0.5;  // f(w) from Eq. 2
+  bool used = false;   // selected into delta(E)?
+};
+
+/// The reference's scoring breakdown, field for field the engine's
+/// ScoreIdResult with spellings in place of ids.
+struct ScoreResult {
+  double score = 0.5;           // I(E), Eq. 3
+  double spam_evidence = 0.0;   // H(E), Eq. 4
+  double ham_evidence = 0.0;    // S(E)
+  std::size_t tokens_used = 0;  // |delta(E)|
+  Verdict verdict = Verdict::unsure;
+  std::vector<TokenEvidence> evidence;  // one per token, in input order
+};
 
 struct RefDatabase {
   std::unordered_map<std::string, TokenCounts> counts;

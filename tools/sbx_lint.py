@@ -39,11 +39,18 @@ Rules (all scoped to checked directories, see RULES):
                   wrappers (util/thread_annotations.h), or it is
                   invisible to clang TSA, the lock-rank tracker, AND
                   tools/sbx_lockgraph.py at once.
+  intern-sites    only the tokenizer, the interner itself and the SBXDB
+                  loader (token_db.cpp) may call .intern() or
+                  intern_tokens() in src/: every other path looks tokens
+                  up (find), so what can grow the process-global
+                  interner stays a short, reviewed list. An allowlist,
+                  not allow-markers: a new growth site means editing
+                  INTERN_SITE_ALLOWLIST.
   tsan-supp       every suppression in tests/tsan.supp needs a comment
                   block with a "Justification:" line — suppressions
                   without a reason rot into "ignore all races here".
 
-A line may opt out with an explanation:
+A line may opt out (except from intern-sites) with an explanation:
 
     code();  // sbx-lint: allow(rule-name): why this one is safe
 
@@ -355,6 +362,33 @@ def check_raw_sync(path, raw_lines, code_lines):
     return out
 
 
+# --- intern-sites ------------------------------------------------------------
+
+# The files that may grow the process-global interner: the interner, the
+# tokenizer's interning pass and the SBXDB loader.
+INTERN_SITE_ALLOWLIST = (
+    "src/spambayes/interner.h",
+    "src/spambayes/interner.cpp",
+    "src/spambayes/tokenizer.cpp",
+    "src/spambayes/token_db.cpp",
+)
+
+INTERN_SITE_RE = re.compile(r"(?:\.|->)intern\s*\(|\bintern_tokens\s*\(")
+
+
+def check_intern_sites(path, raw_lines, code_lines):
+    del raw_lines  # no allow-markers: the allowlist is the only way out
+    rel = path.replace(os.sep, "/")
+    if any(rel.endswith(allow) for allow in INTERN_SITE_ALLOWLIST):
+        return []
+    return [Violation(path, i, "intern-sites",
+                      "interns outside the tokenizer, the interner and "
+                      "the SBXDB loader; look tokens up with find(), or "
+                      "add the file to INTERN_SITE_ALLOWLIST in review")
+            for i, line in enumerate(code_lines, 1)
+            if INTERN_SITE_RE.search(line)]
+
+
 # --- tsan-supp ---------------------------------------------------------------
 
 def check_tsan_supp(path, raw_lines):
@@ -388,6 +422,7 @@ RULES = {
     "process-escape": (check_process_escape, ALL_SRC_DIRS),
     "lock-comment": (check_lock_comment, ALL_SRC_DIRS),
     "raw-sync": (check_raw_sync, ALL_SRC_DIRS),
+    "intern-sites": (check_intern_sites, ALL_SRC_DIRS),
 }
 
 
