@@ -187,6 +187,7 @@ int main() {
       "do not contain the target (§5.1). The target's token scores remain\n"
       "poisoned in the defended filter; whether it survives depends on\n"
       "where the adaptive thresholds land for this batch. Run\n"
-      "bench_fig3_focused_size for the systematic sweep.\n");
+      "`sbx_experiments figure fig3_focused_size` for the systematic\n"
+      "sweep.\n");
   return 0;
 }

@@ -10,9 +10,9 @@
 // filter's verdict/score (Lowd-Meek's membership-query model), padding its
 // message in batches until the goal verdict is reached or the word budget
 // is exhausted. Included both for taxonomy completeness and as the
-// comparison bench (bench_ext_good_words) showing why the paper's
-// causative attacks are the stronger threat: evasion helps one message
-// through, poisoning breaks the filter for everyone.
+// comparison figure (`sbx_experiments figure ext_good_words`) showing why
+// the paper's causative attacks are the stronger threat: evasion helps one
+// message through, poisoning breaks the filter for everyone.
 #pragma once
 
 #include <cstddef>

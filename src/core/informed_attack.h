@@ -18,7 +18,8 @@
 // email-length distribution is itself monotone in p_w. Hence the optimal
 // budget-constrained payload is simply the `budget` most probable words.
 // (The Usenet-top-N attack of §3.2 is the empirical approximation of
-// exactly this rule; bench_ablation_informed compares them.)
+// exactly this rule; `sbx_experiments figure ablation_informed` compares
+// them.)
 #pragma once
 
 #include <cstddef>

@@ -265,7 +265,8 @@ email::Message TrecLikeGenerator::generate_ham(util::Rng& rng) const {
     } else if (roll < w_name) {
       bool person = rng.bernoulli(0.7);
       writer.add(person ? (rng.bernoulli(0.5)
-                               ? im.first_names[rng.index(im.first_names.size())]
+                               ? im.first_names[rng.index(
+                                     im.first_names.size())]
                                : im.last_names[rng.index(im.last_names.size())])
                         : im.companies[rng.index(im.companies.size())],
                  rng);

@@ -2,13 +2,14 @@
 // driver. Each adapter maps a validated Config onto the driver's config
 // struct, runs it, and packs the driver's result structs into a ResultDoc
 // whose table cells are formatted exactly as the legacy bench binaries
-// printed them — the benches now render these documents instead of
-// hand-rolling their own rows, and `sbx_experiments run/sweep` reuses the
+// printed them — `sbx_experiments figure` renders these documents instead
+// of hand-rolling its own rows, and `sbx_experiments run/sweep` reuses the
 // same documents unchanged.
 //
 // The good-word and ham-labeled experiments previously lived only inside
-// bench_ext_* main()s; their measurement loops moved here so they are
-// runnable (and testable) through the registry like everything else.
+// their own extension bench programs; their measurement loops moved here
+// so they are runnable (and testable) through the registry like
+// everything else.
 #include <algorithm>
 #include <cstdio>
 #include <memory>

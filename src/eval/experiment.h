@@ -95,7 +95,7 @@ class Experiment {
 };
 
 /// The one config-resolution policy shared by `sbx_experiments run/sweep`
-/// and the bench wrappers (which must stay byte-identical to the CLI):
+/// and the figure specs of `sbx_experiments figure`:
 /// schema defaults, then the experiment's --quick overrides (if `quick`),
 /// then the "key=value" `overrides` in order, then `seed` onto the "seed"
 /// key (when present in the schema; an explicit 0 is honored).

@@ -3,7 +3,7 @@
 // Experiment drivers regenerating every figure and table of the paper's
 // evaluation (§4-§5). Each driver owns the full pipeline — corpus sampling,
 // cross-validation, attack injection, measurement — and returns plain
-// result structs; the bench binaries only format them. Tests run the same
+// result structs; the figure specs only format them. Tests run the same
 // drivers at reduced scale.
 //
 // Determinism: every driver forks all randomness from its config seed, and

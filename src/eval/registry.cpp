@@ -27,7 +27,8 @@ const Experiment& Registry::get(std::string_view name) const {
   if (experiment == nullptr) {
     std::vector<std::string> known;
     for (const Experiment* e : experiments()) known.push_back(e->name());
-    throw InvalidArgument(util::unknown_name_message("experiment", name, known));
+    throw InvalidArgument(
+        util::unknown_name_message("experiment", name, known));
   }
   return *experiment;
 }

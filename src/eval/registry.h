@@ -2,8 +2,8 @@
 //
 // Name -> Experiment lookup for the experiment harness. The registry is
 // the single catalogue behind `sbx_experiments list/describe/run/sweep`
-// and the bench entry points; adding experiment #10 means registering one
-// adapter here instead of hand-rolling bench binary #20.
+// and its figure specs; adding an experiment means registering one
+// adapter here instead of hand-rolling another program.
 //
 // Built-in experiments are registered explicitly (builtin_registry(), not
 // static initializers: sbx is consumed as static libraries, where

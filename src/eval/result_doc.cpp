@@ -12,7 +12,8 @@ namespace sbx::eval {
 
 util::Table& ResultDoc::add_table(std::string name,
                                   std::vector<std::string> headers) {
-  tables.push_back(NamedTable{std::move(name), util::Table(std::move(headers))});
+  tables.push_back(
+      NamedTable{std::move(name), util::Table(std::move(headers))});
   return tables.back().table;
 }
 

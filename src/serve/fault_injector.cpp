@@ -80,7 +80,8 @@ void FaultInjector::reset() {
 
 std::size_t FaultInjector::clamp_write_len(std::size_t len) {
   if (!enabled()) return len;
-  const std::uint64_t every = short_write_every_.load(std::memory_order_relaxed);
+  const std::uint64_t every =
+      short_write_every_.load(std::memory_order_relaxed);
   if (every == 0 || len <= 1) return len;
   const std::uint64_t op = write_ops_.load(std::memory_order_relaxed);
   return op % every == 0 ? 1 : len;
@@ -98,7 +99,8 @@ void FaultInjector::before_read() {
   if (!enabled()) return;
   const std::uint64_t every = delay_read_every_.load(std::memory_order_relaxed);
   if (every == 0) return;
-  const std::uint64_t op = read_ops_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const std::uint64_t op =
+      read_ops_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (op % every == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(
         delay_ms_.load(std::memory_order_relaxed)));

@@ -48,13 +48,16 @@ std::string render_chart(const std::vector<ChartSeries>& series,
   auto col_of = [&](double x) {
     double t = (x - x_min) / (x_max - x_min);
     auto c = static_cast<long>(std::lround(t * static_cast<double>(w - 1)));
-    return static_cast<std::size_t>(std::clamp<long>(c, 0, static_cast<long>(w - 1)));
+    return static_cast<std::size_t>(
+        std::clamp<long>(c, 0, static_cast<long>(w - 1)));
   };
   auto row_of = [&](double y) {
     double t = (y - y_min) / (y_max - y_min);
     t = std::clamp(t, 0.0, 1.0);
-    auto r = static_cast<long>(std::lround((1.0 - t) * static_cast<double>(h - 1)));
-    return static_cast<std::size_t>(std::clamp<long>(r, 0, static_cast<long>(h - 1)));
+    auto r = static_cast<long>(
+        std::lround((1.0 - t) * static_cast<double>(h - 1)));
+    return static_cast<std::size_t>(
+        std::clamp<long>(r, 0, static_cast<long>(h - 1)));
   };
 
   for (const auto& s : series) {
@@ -112,9 +115,10 @@ std::string render_chart(const std::vector<ChartSeries>& series,
                      ' ') +
          hi + "\n";
   if (!options.x_label.empty()) {
-    out += std::string(label_width + 2 + (w / 2 > options.x_label.size() / 2
-                                              ? w / 2 - options.x_label.size() / 2
-                                              : 0),
+    out += std::string(label_width + 2 +
+                           (w / 2 > options.x_label.size() / 2
+                                ? w / 2 - options.x_label.size() / 2
+                                : 0),
                        ' ') +
            options.x_label + "\n";
   }

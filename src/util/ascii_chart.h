@@ -1,7 +1,7 @@
 // sbx/util/ascii_chart.h
 //
-// Terminal line charts for the experiment benches: each figure-reproducing
-// binary renders its curves the way the paper's plots look, so shape
+// Terminal line charts for the paper figures: each figure renders its
+// curves the way the paper's plots look, so shape
 // comparisons don't require exporting CSVs first.
 #pragma once
 

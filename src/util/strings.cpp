@@ -86,7 +86,8 @@ bool iequals(std::string_view a, std::string_view b) {
 }
 
 bool istarts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && iequals(s.substr(0, prefix.size()), prefix);
+  return s.size() >= prefix.size() &&
+         iequals(s.substr(0, prefix.size()), prefix);
 }
 
 std::string replace_all(std::string_view s, std::string_view from,

@@ -1,7 +1,7 @@
 // sbx/util/table.h
 //
-// Result-table formatting for the experiment harness. Every bench binary
-// reports the paper's rows/series through a Table: aligned plain text on
+// Result-table formatting for the experiment harness. Every paper figure
+// reports its rows/series through a Table: aligned plain text on
 // stdout (what a reader compares against the paper) and optional CSV export
 // (what a plotting script consumes).
 #pragma once

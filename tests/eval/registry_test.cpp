@@ -194,7 +194,7 @@ TEST(ResultDoc, JsonEscapesAndStructure) {
 
 // ---------------------------------------------------------------------------
 // Reduced-scale registry runs of the extension drivers (previously only
-// reachable through bench_ext_* main()s).
+// reachable through the extension bench programs).
 // ---------------------------------------------------------------------------
 
 TEST(RegistryRun, HamLabeledProducesCampaignTableAndMetrics) {

@@ -3,7 +3,8 @@
 // byte-identical CSV/JSON at 1 vs 4 threads, including with nested
 // parallelism (sweep trials that themselves fan out folds on the shared
 // pool). The good-word and ham-labeled extension drivers run here at
-// reduced scale through the registry, which bench_ext_* never covered.
+// reduced scale through the registry, which their extension bench
+// programs never covered.
 #include "eval/sweep.h"
 
 #include <gtest/gtest.h>

@@ -38,8 +38,8 @@ TEST(Protocol, TrainAndUntrainRoundTrip) {
   t.as_spam = false;
   t.copies = 3;
   t.message = "Subject: x\n\nhello";
-  const auto tback =
-      std::get<TrainRequest>(decode_request(payload_of(encode_frame(Request(t)))));
+  const auto tback = std::get<TrainRequest>(
+      decode_request(payload_of(encode_frame(Request(t)))));
   EXPECT_EQ(tback.user_id, 7u);
   EXPECT_FALSE(tback.as_spam);
   EXPECT_EQ(tback.copies, 3u);

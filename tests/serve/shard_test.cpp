@@ -108,7 +108,8 @@ TEST(ModelShard, ConcurrentSnapshotReadsDuringMutation) {
         const OverlaySnapshot snap = shard.overlay(0);
         if (snap) {
           // Touch the snapshot's data; TSan flags any write racing this.
-          volatile std::uint32_t sink = snap->spam_count() + snap->counts(1).spam;
+          volatile std::uint32_t sink =
+              snap->spam_count() + snap->counts(1).spam;
           (void)sink;
         }
         reads.fetch_add(1, std::memory_order_relaxed);

@@ -282,8 +282,10 @@ TEST_P(MixtureSweep, ScoreIncreasesWithSpamEvidence) {
   const int k = GetParam();
   auto score_for = [&](int spam_tokens) {
     TokenSet tokens;
-    for (int i = 0; i < spam_tokens; ++i) tokens.push_back("s" + std::to_string(i));
-    for (int i = spam_tokens; i < n; ++i) tokens.push_back("h" + std::to_string(i));
+    for (int i = 0; i < spam_tokens; ++i)
+      tokens.push_back("s" + std::to_string(i));
+    for (int i = spam_tokens; i < n; ++i)
+      tokens.push_back("h" + std::to_string(i));
     return c.score_ids(db, intern_tokens(tokens)).score;
   };
   EXPECT_LE(score_for(k), score_for(k + 1) + 1e-12);

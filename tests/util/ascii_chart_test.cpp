@@ -65,8 +65,10 @@ TEST(AsciiChart, RisingSeriesPutsLaterPointsHigher) {
   ASSERT_NE(last, std::string::npos);
   // The high point (x=10 -> right edge) appears earlier in the text (top
   // row) than the low point (x=0 -> left edge, bottom row).
-  std::size_t first_line = std::count(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(first), '\n');
-  std::size_t last_line = std::count(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(last), '\n');
+  std::size_t first_line = std::count(
+      out.begin(), out.begin() + static_cast<std::ptrdiff_t>(first), '\n');
+  std::size_t last_line = std::count(
+      out.begin(), out.begin() + static_cast<std::ptrdiff_t>(last), '\n');
   EXPECT_LT(first_line, last_line);
 }
 

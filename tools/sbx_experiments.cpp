@@ -1,16 +1,23 @@
-// sbx_experiments — the single CLI over the experiment registry. Replaces
-// the per-figure bench main()s as the way to run any experiment or sweep:
+// sbx_experiments — the single CLI over the experiment registry: it runs
+// any experiment, sweep or paper figure.
 //
 //   sbx_experiments list
 //   sbx_experiments describe <experiment>
 //   sbx_experiments run <experiment> [key=value ...] [flags]
 //   sbx_experiments sweep <experiment> --axis key=v1,v2 [...] [key=value ...]
+//   sbx_experiments figure list
+//   sbx_experiments figure <figure> [flags]
 //
 // Shared flags:
 //   --quick             apply the experiment's reduced-scale overrides
 //   --threads=N         size the shared process pool (0 = hardware)
 //   --seed=S            override the "seed" config key (explicit 0 honored)
-//   --out-dir=DIR       write CSV tables + the JSON ResultDoc(s) to DIR
+//   --out-dir=DIR       write CSV tables + the JSON ResultDoc(s) to DIR;
+//                       a figure writes its one CSV there (default results)
+//
+// Figures (figures.h) are the paper's figures, Table 1, the RONI numbers,
+// the ablations and the extensions, each a spec over registry runs; their
+// stdout and CSV are byte-identical at any thread count.
 //
 // Sweeps execute whole configs as top-level trials on the shared pool —
 // the same pool the per-config fold loops use (run-inline-while-waiting,
@@ -25,6 +32,7 @@
 #include "eval/experiment.h"
 #include "eval/registry.h"
 #include "eval/sweep.h"
+#include "figures.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
 
@@ -55,12 +63,17 @@ int usage(FILE* to) {
                "                               their taxonomy coordinates\n"
                "  attacks describe <attack>    taxonomy, threat model and\n"
                "                               parameter schema\n"
+               "  figure list                  all paper figures, tables,\n"
+               "                               ablations and extensions\n"
+               "  figure <figure>              run one and print its table,\n"
+               "                               chart and CSV\n"
                "\n"
-               "flags (run/sweep):\n"
+               "flags (run/sweep/figure):\n"
                "  --quick          reduced-scale config for smoke runs\n"
                "  --threads=N      shared-pool size (0 = hardware)\n"
                "  --seed=S         override the seed key (explicit 0 ok)\n"
-               "  --out-dir=DIR    write CSV tables + JSON ResultDocs\n");
+               "  --out-dir=DIR    write CSV tables + JSON ResultDocs\n"
+               "                   (figure: its CSV; default results)\n");
   return to == stdout ? 0 : 2;
 }
 
@@ -257,6 +270,16 @@ int cmd_sweep(const std::string& name, const CliFlags& flags) {
   return 0;
 }
 
+int cmd_figure(const std::string& name, const CliFlags& flags) {
+  if (!flags.overrides.empty()) {
+    throw InvalidArgument("figure takes no key=value overrides ('" +
+                          flags.overrides.front() + "')");
+  }
+  figures::render(name, flags.quick, flags.threads, flags.seed,
+                  flags.out_dir.value_or("results"));
+  return 0;
+}
+
 /// Shared exit-2 path for an unrecognized (sub)command: one complaint
 /// format, then the usage text on stderr.
 int unknown_command(const char* kind, const std::string& name) {
@@ -287,7 +310,13 @@ int main(int argc, char** argv) {
       }
       return unknown_command("attacks command", sub);
     }
-    if (command == "run" || command == "sweep") {
+    if (command == "figure" && argc >= 3 &&
+        std::string(argv[2]) == "list") {
+      if (argc > 3) return usage(stderr);
+      figures::list();
+      return 0;
+    }
+    if (command == "run" || command == "sweep" || command == "figure") {
       if (argc < 3) return usage(stderr);
       const CliFlags flags =
           parse_cli(argc, argv, 3, /*allow_axes=*/command == "sweep");
@@ -296,8 +325,9 @@ int main(int argc, char** argv) {
       if (flags.threads != 0) {
         sbx::util::ThreadPool::configure_shared(flags.threads);
       }
-      return command == "run" ? cmd_run(argv[2], flags)
-                              : cmd_sweep(argv[2], flags);
+      if (command == "run") return cmd_run(argv[2], flags);
+      if (command == "sweep") return cmd_sweep(argv[2], flags);
+      return cmd_figure(argv[2], flags);
     }
     return unknown_command("command", command);
   } catch (const sbx::Error& e) {
