@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/attack_registry.h"
 #include "core/dictionary_attack.h"
 #include "core/dynamic_threshold.h"
 #include "core/focused_attack.h"
@@ -113,11 +114,15 @@ int main() {
     batch.push_back({dictionary.attack_message(), true});
   }
   email::Message bid = generator.generate_ham(rng);  // the focused target
-  core::FocusedAttack focused(
-      {0.5, 0, false}, core::attackable_body_words(bid, tokenizer), rng);
+  const core::Attack& focused = core::builtin_attack_registry().get("focused");
+  const util::Config focused_params = focused.default_params();  // p = 0.5
+  const spambayes::TokenSet bid_words =
+      core::attackable_body_words(bid, tokenizer);
   std::vector<const email::Message*> header_pool;
   for (const auto& s : spam_headers) header_pool.push_back(&s);
-  for (auto& m : focused.generate(header_pool, 60, rng)) {
+  core::CraftContext ctx{generator, focused_params, rng,         60,
+                         &bid,      &bid_words,     &header_pool};
+  for (auto& m : focused.craft_poison(ctx)) {
     batch.push_back({std::move(m), true});
   }
   util::Rng shuffle_rng = rng.fork(1);

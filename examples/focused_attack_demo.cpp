@@ -11,10 +11,12 @@
 //   $ ./focused_attack_demo
 #include <cstdio>
 
+#include "core/attack_registry.h"
 #include "core/focused_attack.h"
 #include "corpus/generator.h"
 #include "spambayes/filter.h"
 #include "util/random.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -56,19 +58,20 @@ int main() {
   // insider knowledge per Figure 2) and sends 150 spam emails carrying
   // them, with headers copied from ordinary spam so they blend in.
   spambayes::Tokenizer tokenizer;
-  core::FocusedAttackConfig config;
-  config.guess_probability = 0.5;
-  core::FocusedAttack attack(
-      config, core::attackable_body_words(bid, tokenizer), rng);
-  std::printf("\nMallory guessed %zu of the bid's words; sending 150 attack "
-              "emails (trained as spam)...\n",
-              attack.guessed_words().size());
-
+  const core::Attack& attack = core::builtin_attack_registry().get("focused");
+  util::Config params = attack.default_params();
+  params.set("guess_probability", "0.5");
+  const spambayes::TokenSet bid_words =
+      core::attackable_body_words(bid, tokenizer);
   std::vector<const email::Message*> headers;
   for (const auto& s : spam_pool) headers.push_back(&s);
-  for (const auto& poison : attack.generate(headers, 150, rng)) {
-    filter.train_spam(poison);
-  }
+  core::CraftContext ctx{generator, params, rng,      150,
+                         &bid,      &bid_words, &headers};
+  const std::vector<email::Message> poison = attack.craft_poison(ctx);
+  std::printf("\nMallory guessed %zu of the bid's words; sending 150 attack "
+              "emails (trained as spam)...\n",
+              util::split_whitespace(poison.front().body()).size());
+  for (const auto& message : poison) filter.train_spam(message);
 
   std::printf("\nafter the attack:\n");
   classify_and_print(filter, bid, "competitor's bid:");
@@ -78,6 +81,6 @@ int main() {
       "\nThe bid is gone from the inbox; everything else still flows.\n"
       "The victim has no reason to suspect the filter (this is the\n"
       "Causative Availability Targeted cell of the paper's taxonomy: %s).\n",
-      core::FocusedAttack::properties().description().c_str());
+      attack.properties().description().c_str());
   return 0;
 }

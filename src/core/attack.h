@@ -17,12 +17,12 @@
 //  * evade(): the Exploratory half — transform one message until a fixed
 //    filter stops catching it (good-word padding, character obfuscation).
 //
-// Existing attack classes stay as the implementation; registry entries
-// are thin adapters that construct them from a validated util::Config
-// (attack_registry.h). Experiments resolve `attack=<registry-name>`
-// through the registry instead of hard-coding a class, which is what lets
-// one sweep cross attacks against training sizes/thresholds/defenses with
-// zero new driver code.
+// Each attack is exactly one subclass (builtin_attacks.cpp) that reads
+// its parameters from the util::Config its schema validated and does the
+// work itself (attack_registry.h). Experiments resolve
+// `attack=<registry-name>` through the registry instead of hard-coding a
+// class, which is what lets one sweep cross attacks against training
+// sizes/thresholds/defenses with zero new driver code.
 #pragma once
 
 #include <cstddef>
@@ -96,6 +96,12 @@ struct CanonicalPoison {
   std::string display_name;
   /// Payload words carried (the "dict words" table column).
   std::size_t payload_size = 0;
+  /// Tokens the attacker stamps onto its own post-poison spam (the BadNets
+  /// trigger): after the Causative phase succeeds, the attacker sends spam
+  /// carrying these tokens, and the dictionary and retraining drivers
+  /// additionally measure how much of it leaks past the filter. Empty for
+  /// attacks whose future mail is unmodified.
+  std::vector<std::string> trigger;
 };
 
 /// One registry-resolvable attack.
@@ -150,17 +156,6 @@ class Attack {
   /// canonical form's label via the base implementation in attack.cpp.
   virtual corpus::TrueLabel poison_label() const {
     return corpus::TrueLabel::spam;
-  }
-
-  /// Tokens the attacker stamps onto its own post-poison mail (the
-  /// BadNets trigger): after the Causative phase succeeds, the attacker
-  /// sends spam carrying these tokens, and experiments measure how much
-  /// of it leaks past the filter. Empty for attacks whose future mail is
-  /// unmodified.
-  virtual std::vector<std::string> trigger_tokens(
-      const util::Config& params) const {
-    (void)params;
-    return {};
   }
 
   /// Exploratory hook: modifies `message` until ctx.goal is reached or

@@ -41,10 +41,10 @@ class AttackRegistry {
   std::vector<std::unique_ptr<Attack>> attacks_;
 };
 
-/// The process-wide registry holding every built-in attack: the five
-/// ported classes (dictionary family as aspell/usenet/optimal/informed,
-/// focused, good-word, ham-labeled) plus the backdoor-trigger and
-/// obfuscation extensions. Thread-safe: built once on first use.
+/// The process-wide registry holding every built-in attack: the paper's
+/// (dictionary family as aspell/usenet/optimal/informed, focused,
+/// good-word, ham-labeled) plus the backdoor-trigger and obfuscation
+/// extensions. Thread-safe: built once on first use.
 const AttackRegistry& builtin_attack_registry();
 
 /// Registers the built-in attacks into `registry` (exposed for tests that

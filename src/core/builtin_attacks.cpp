@@ -1,10 +1,15 @@
-// Built-in core::Attack registry entries: one adapter per attack. The
-// five pre-existing attack classes (dictionary family, focused, good-word,
-// ham-labeled, informed) stay as the implementation — adapters construct
-// them from a validated util::Config, preserving the exact messages and
-// RNG consumption the experiment drivers have always produced — plus the
-// two attacks landed as registry entries only:
+// Built-in core::Attack registry entries: one class per attack, each
+// reading its parameters from the util::Config its schema validated and
+// doing the work itself. The dictionary family (aspell / usenet / optimal
+// / informed) wraps the core::DictionaryAttack value type, which the RONI
+// suite and the examples also use directly; every other attack lives only
+// here:
 //
+//  * focused (§3.3) — spam carrying guessed words of one target email;
+//  * ham-labeled (§2.2 remark) — whitewash the attacker's campaign
+//    vocabulary by getting it trained as ham;
+//  * good-word (§3.1/§6 contrast) — Lowd-Meek / Wittel-Wu evasion by
+//    padding one spam with common hammy words;
 //  * backdoor-trigger — BadNets-style data poisoning (Roychoudhury &
 //    Veldanda, arXiv:2307.09649): train a rare trigger-token pattern as
 //    ham, then stamp future spam with the trigger so it leaks past the
@@ -24,9 +29,6 @@
 
 #include "core/attack_registry.h"
 #include "core/dictionary_attack.h"
-#include "core/focused_attack.h"
-#include "core/good_word_attack.h"
-#include "core/ham_labeled_attack.h"
 #include "core/informed_attack.h"
 #include "email/builder.h"
 #include "spambayes/classifier.h"
@@ -63,15 +65,6 @@ class AttackBase : public Attack {
   AttackProperties properties_;
 };
 
-CanonicalPoison from_dictionary(const DictionaryAttack& attack) {
-  CanonicalPoison poison;
-  poison.message = attack.attack_message();
-  poison.train_as = corpus::TrueLabel::spam;
-  poison.display_name = attack.name();
-  poison.payload_size = attack.dictionary_size();
-  return poison;
-}
-
 // ---------------------------------------------------------------------------
 // The dictionary family (§3.2, §3.4): aspell / usenet / optimal / informed.
 // ---------------------------------------------------------------------------
@@ -92,10 +85,10 @@ class AspellAttack : public AttackBase {
       util::Rng&) const override {
     const auto top_n =
         static_cast<std::size_t>(params.get_uint("dictionary_size"));
-    return from_dictionary(
-        top_n == 0
-            ? DictionaryAttack::aspell(generator.lexicons())
-            : DictionaryAttack::aspell_truncated(generator.lexicons(), top_n));
+    return (top_n == 0 ? DictionaryAttack::aspell(generator.lexicons())
+                       : DictionaryAttack::aspell_truncated(
+                             generator.lexicons(), top_n))
+        .canonical_poison();
   }
 };
 
@@ -115,9 +108,9 @@ class UsenetAttack : public AttackBase {
       util::Rng&) const override {
     const auto top_n =
         static_cast<std::size_t>(params.get_uint("dictionary_size"));
-    return from_dictionary(
-        top_n == 0 ? DictionaryAttack::usenet(generator.lexicons())
-                   : DictionaryAttack::usenet(generator.lexicons(), top_n));
+    return (top_n == 0 ? DictionaryAttack::usenet(generator.lexicons())
+                       : DictionaryAttack::usenet(generator.lexicons(), top_n))
+        .canonical_poison();
   }
 };
 
@@ -141,7 +134,7 @@ class OptimalAttack : public AttackBase {
           "dictionary_size does not apply to the optimal attack (it always "
           "uses the full emittable vocabulary); leave it 0");
     }
-    return from_dictionary(DictionaryAttack::optimal(generator));
+    return DictionaryAttack::optimal(generator).canonical_poison();
   }
 };
 
@@ -164,8 +157,8 @@ class InformedAttack : public AttackBase {
     auto distribution = generator.ham_word_distribution();
     auto budget = static_cast<std::size_t>(params.get_uint("dictionary_size"));
     if (budget == 0) budget = distribution.size();
-    return from_dictionary(make_informed_attack(std::move(distribution),
-                                                budget));
+    return make_informed_attack(std::move(distribution), budget)
+        .canonical_poison();
   }
 };
 
@@ -173,13 +166,41 @@ class InformedAttack : public AttackBase {
 // focused (§3.3): targeted poisoning of one known future email.
 // ---------------------------------------------------------------------------
 
-class FocusedAttackAdapter : public AttackBase {
+/// One guess at the target's body words (focused_attack.h's knowledge
+/// model): each target word independently with probability `p`, in the
+/// target's spelling order, then `extra_words` filler tokens.
+std::vector<std::string> draw_guess(const spambayes::TokenSet& target,
+                                    double p, std::size_t extra_words,
+                                    util::Rng& rng) {
+  std::vector<std::string> out;
+  out.reserve(target.size() + extra_words);
+  for (const auto& w : target) {
+    if (rng.bernoulli(p)) out.push_back(w);
+  }
+  // §3.3: "the attack email may include additional words as well" — e.g.
+  // cover text making the message look like ordinary spam. The filler
+  // tokens come from a reserved namespace disjoint from the corpus
+  // vocabulary, so they add spam-trained mass without touching the target
+  // (by §3.4's independence, they cannot weaken the attack).
+  for (std::size_t i = 0; i < extra_words; ++i) {
+    out.push_back("xfiller" + std::to_string(rng.index(10'000)));
+  }
+  // An attack email must have *some* body; with very low p the attacker may
+  // guess nothing, in which case it sends a minimal junk payload (the
+  // attack is simply ineffective, as the paper's p=0.1 bars show).
+  if (out.empty()) out.push_back("regards");
+  return out;
+}
+
+class FocusedAttack : public AttackBase {
  public:
-  FocusedAttackAdapter()
+  FocusedAttack()
       : AttackBase("focused",
                    "spam carrying guessed tokens of one target email",
                    "Section 3.3 + Figures 2-4 of Nelson et al. 2008",
-                   FocusedAttack::properties()) {
+                   AttackProperties{Influence::causative,
+                                    Violation::availability,
+                                    Specificity::targeted}) {
     schema_
         .add("guess_probability", ParamType::kDouble, "0.5",
              "probability of correctly guessing each target token")
@@ -190,6 +211,9 @@ class FocusedAttackAdapter : public AttackBase {
              "fixes one guess set per attack)");
   }
 
+  /// Each email clones the header block of a random spam from the pool and
+  /// carries the guessed payload as its body. The one guess set is drawn
+  /// from ctx.rng before the first email (unless fresh_guess_per_email).
   std::vector<email::Message> craft_poison(CraftContext& ctx) const override {
     if (ctx.target_tokens == nullptr || ctx.spam_header_pool == nullptr) {
       throw InvalidArgument(
@@ -197,14 +221,43 @@ class FocusedAttackAdapter : public AttackBase {
           "and spam_header_pool in the CraftContext (only the focused "
           "experiments provide them)");
     }
-    FocusedAttackConfig config;
-    config.guess_probability = ctx.params.get_double("guess_probability");
-    config.extra_words =
+    const double p = ctx.params.get_double("guess_probability");
+    if (p < 0.0 || p > 1.0) {
+      throw InvalidArgument("focused: guess_probability outside [0,1]");
+    }
+    const spambayes::TokenSet& target = *ctx.target_tokens;
+    if (target.empty()) {
+      throw InvalidArgument("focused: target has no attackable words");
+    }
+    const auto extra_words =
         static_cast<std::size_t>(ctx.params.get_uint("extra_words"));
-    config.fresh_guess_per_email =
-        ctx.params.get_bool("fresh_guess_per_email");
-    const FocusedAttack attack(config, *ctx.target_tokens, ctx.rng);
-    return attack.generate(*ctx.spam_header_pool, ctx.count, ctx.rng);
+    const bool fresh = ctx.params.get_bool("fresh_guess_per_email");
+    std::vector<std::string> guessed;
+    if (!fresh) guessed = draw_guess(target, p, extra_words, ctx.rng);
+
+    const std::vector<const email::Message*>& pool = *ctx.spam_header_pool;
+    if (pool.empty()) {
+      throw InvalidArgument("focused: empty spam header pool");
+    }
+    std::vector<email::Message> out;
+    out.reserve(ctx.count);
+    for (std::size_t i = 0; i < ctx.count; ++i) {
+      const email::Message* donor = pool[ctx.rng.index(pool.size())];
+      email::Message msg;
+      msg.set_headers(donor->headers());
+      // The donor's MIME framing must not survive: the attack body is plain
+      // text, so a cloned Content-Type (e.g. multipart boundary) would hide
+      // the payload from the tokenizer.
+      msg.remove_headers("Content-Type");
+      msg.remove_headers("Content-Transfer-Encoding");
+      const std::vector<std::string>& payload =
+          fresh ? draw_guess(target, p, extra_words, ctx.rng) : guessed;
+      email::Message body_holder =
+          email::MessageBuilder().body_from_words(payload).build();
+      msg.set_body(body_holder.body());
+      out.push_back(std::move(msg));
+    }
+    return out;
   }
 };
 
@@ -212,13 +265,22 @@ class FocusedAttackAdapter : public AttackBase {
 // ham-labeled (§2.2 remark): whitewash the attacker's campaign vocabulary.
 // ---------------------------------------------------------------------------
 
-class HamLabeledAttackAdapter : public AttackBase {
+/// The extension the paper flags in §2.2: "using ham-labeled attack emails
+/// could enable more powerful attacks that place spam in a user's inbox."
+/// The mirror image of the dictionary attack: the attacker arranges for
+/// emails carrying its future spam vocabulary to be trained as ham (e.g.
+/// innocuous-looking mail the victim's pipeline auto-labels, or a
+/// train-on-everything policy), driving the spam scores of those tokens
+/// down so that later spam carrying them slips into the inbox. It whitens
+/// a whole campaign vocabulary, not one message: Indiscriminate.
+class HamLabeledAttack : public AttackBase {
  public:
-  HamLabeledAttackAdapter()
+  HamLabeledAttack()
       : AttackBase("ham-labeled",
                    "ham-trained email whitening a spam campaign vocabulary",
                    "Section 2.2 remark (more powerful attacks)",
-                   HamLabeledAttack::properties()) {}
+                   AttackProperties{Influence::causative, Violation::integrity,
+                                    Specificity::indiscriminate}) {}
 
   corpus::TrueLabel poison_label() const override {
     return corpus::TrueLabel::ham;
@@ -229,17 +291,21 @@ class HamLabeledAttackAdapter : public AttackBase {
       util::Rng& rng) const override {
     // The attacker's payload: its own campaign vocabulary (the generator's
     // spam word list plus the obfuscated junk tokens). Headers clone a
-    // real ham message so the email passes as legitimate.
+    // real ham message so the email passes as legitimate — unlike the
+    // spam-labeled attacks, its premise is believable headers.
     std::vector<std::string> payload = generator.spam_vocab_words();
     const auto& junk = generator.spam_junk_words();
     payload.insert(payload.end(), junk.begin(), junk.end());
+    if (payload.empty()) {
+      throw InvalidArgument("ham-labeled: empty payload");
+    }
     const email::Message donor = generator.generate_ham(rng);
-    const HamLabeledAttack attack(std::move(payload), donor.headers());
     CanonicalPoison poison;
-    poison.message = attack.attack_message();
+    poison.message = email::MessageBuilder().body_from_words(payload).build();
+    poison.message.set_headers(donor.headers());
     poison.train_as = corpus::TrueLabel::ham;
     poison.display_name = "ham-labeled";
-    poison.payload_size = attack.payload_size();
+    poison.payload_size = payload.size();
     return poison;
   }
 };
@@ -248,13 +314,23 @@ class HamLabeledAttackAdapter : public AttackBase {
 // good-word (§3.1/§6 contrast): Lowd-Meek / Wittel-Wu evasion.
 // ---------------------------------------------------------------------------
 
-class GoodWordAttackAdapter : public AttackBase {
+using spambayes::verdict_at_most;
+
+/// Black-box good-word evasion, the Exploratory quadrant the paper
+/// contrasts its Causative attacks against. The attacker does NOT touch
+/// training: it appends the most common ham-core words to one spam, in
+/// batches between filter queries (Lowd-Meek's membership-query model),
+/// until the fixed filter's verdict is at most the goal, the candidates
+/// run out, or the word budget is spent.
+class GoodWordAttack : public AttackBase {
  public:
-  GoodWordAttackAdapter()
+  GoodWordAttack()
       : AttackBase("good-word",
                    "pad one spam with common hammy words until it passes",
                    "Sections 3.1 + 6 (Lowd-Meek / Wittel-Wu contrast)",
-                   GoodWordAttack::properties()) {
+                   AttackProperties{Influence::exploratory,
+                                    Violation::integrity,
+                                    Specificity::targeted}) {
     schema_
         .add("common_words", ParamType::kUInt, "2000",
              "how many top ham-core words the evader pads with")
@@ -264,24 +340,53 @@ class GoodWordAttackAdapter : public AttackBase {
 
   EvadeResult evade(EvadeContext& ctx,
                     const email::Message& message) const override {
-    const auto& core_words = ctx.generator.ham_core_words();
-    const std::size_t word_count = std::min<std::size_t>(
-        core_words.size(),
+    const auto& candidates = ctx.generator.ham_core_words();
+    const std::size_t candidate_count = std::min<std::size_t>(
+        candidates.size(),
         static_cast<std::size_t>(ctx.params.get_uint("common_words")));
-    std::vector<std::string> candidates(core_words.begin(),
-                                        core_words.begin() + word_count);
-    const GoodWordAttack evader(
-        std::move(candidates),
-        static_cast<std::size_t>(ctx.params.get_uint("batch_size")));
-    GoodWordAttack::Result r =
-        evader.evade(ctx.filter, message, ctx.max_words, ctx.goal);
+    if (candidate_count == 0) {
+      throw InvalidArgument("good-word: no candidate words");
+    }
+    const auto batch_size =
+        static_cast<std::size_t>(ctx.params.get_uint("batch_size"));
+    if (batch_size == 0) {
+      throw InvalidArgument("good-word: batch_size must be greater than 0");
+    }
+
     EvadeResult result;
-    result.message = std::move(r.message);
-    result.words_added = r.words_added;
-    result.queries = r.queries;
-    result.score_before = r.score_before;
-    result.score_after = r.score_after;
-    result.evaded = r.evaded;
+    result.message = message;
+    const spambayes::ScoreIdResult initial = ctx.filter.classify(message);
+    result.queries = 1;
+    result.score_before = initial.score;
+    result.score_after = initial.score;
+    if (verdict_at_most(initial.verdict, ctx.goal)) {
+      result.evaded = true;  // nothing to do
+      return result;
+    }
+
+    std::string padded_body = message.body();
+    if (!padded_body.empty() && padded_body.back() != '\n') {
+      padded_body.push_back('\n');
+    }
+    std::size_t next_candidate = 0;
+    const std::size_t limit = std::min(ctx.max_words, candidate_count);
+    while (result.words_added < limit) {
+      const std::size_t batch =
+          std::min(batch_size, limit - result.words_added);
+      for (std::size_t i = 0; i < batch; ++i) {
+        padded_body += candidates[next_candidate++];
+        padded_body.push_back(i + 1 == batch ? '\n' : ' ');
+      }
+      result.words_added += batch;
+      result.message.set_body(padded_body);
+      const spambayes::ScoreIdResult r = ctx.filter.classify(result.message);
+      result.queries += 1;
+      result.score_after = r.score;
+      if (verdict_at_most(r.verdict, ctx.goal)) {
+        result.evaded = true;
+        return result;
+      }
+    }
     return result;
   }
 };
@@ -332,21 +437,17 @@ class BackdoorTriggerAttack : public AttackBase {
     return corpus::TrueLabel::ham;
   }
 
-  std::vector<std::string> trigger_tokens(
-      const util::Config& params) const override {
+  std::optional<CanonicalPoison> canonical_poison(
+      const corpus::TrecLikeGenerator& generator, const util::Config& params,
+      util::Rng& rng) const override {
     const std::size_t length =
         static_cast<std::size_t>(params.get_uint("trigger_length"));
     if (length == 0) {
       throw InvalidArgument("backdoor-trigger: trigger_length must be > 0");
     }
-    return make_trigger(params.get_uint("trigger_seed"), length);
-  }
-
-  std::optional<CanonicalPoison> canonical_poison(
-      const corpus::TrecLikeGenerator& generator, const util::Config& params,
-      util::Rng& rng) const override {
-    std::vector<std::string> words = trigger_tokens(params);
-    const std::size_t payload = words.size();
+    std::vector<std::string> trigger =
+        make_trigger(params.get_uint("trigger_seed"), length);
+    std::vector<std::string> words = trigger;
     const auto& core_words = generator.ham_core_words();
     const std::size_t carrier = std::min<std::size_t>(
         core_words.size(),
@@ -363,7 +464,8 @@ class BackdoorTriggerAttack : public AttackBase {
     poison.message = builder.body_from_words(words).build();
     poison.train_as = corpus::TrueLabel::ham;
     poison.display_name = "backdoor-trigger";
-    poison.payload_size = payload;
+    poison.payload_size = trigger.size();
+    poison.trigger = std::move(trigger);
     return poison;
   }
 };
@@ -371,8 +473,6 @@ class BackdoorTriggerAttack : public AttackBase {
 // ---------------------------------------------------------------------------
 // obfuscation (NEW): character-level mangling of the spammiest words.
 // ---------------------------------------------------------------------------
-
-using spambayes::verdict_at_most;
 
 /// Character-level mangling: leet substitutions where possible, an
 /// inserted '.' otherwise. Either way the result is a token the filter
@@ -420,9 +520,16 @@ class ObfuscationAttack : public AttackBase {
 
   EvadeResult evade(EvadeContext& ctx,
                     const email::Message& message) const override {
+    const bool leet = ctx.params.get_bool("leet");
+    const auto per_query =
+        static_cast<std::size_t>(ctx.params.get_uint("mangle_per_query"));
+    if (per_query == 0) {
+      throw InvalidArgument(
+          "obfuscation: mangle_per_query must be greater than 0");
+    }
+
     EvadeResult result;
     result.message = message;
-
     const spambayes::ScoreIdResult initial = ctx.filter.classify(message);
     result.queries = 1;
     result.score_before = initial.score;
@@ -476,9 +583,6 @@ class ObfuscationAttack : public AttackBase {
                        return a.score > b.score;
                      });
 
-    const bool leet = ctx.params.get_bool("leet");
-    const std::size_t per_query = std::max<std::size_t>(
-        1, static_cast<std::size_t>(ctx.params.get_uint("mangle_per_query")));
     const std::size_t limit = std::min(ctx.max_words, candidates.size());
     std::size_t next = 0;
     while (result.words_added < limit) {
@@ -512,9 +616,9 @@ void register_builtin_attacks(AttackRegistry& registry) {
   registry.add(std::make_unique<UsenetAttack>());
   registry.add(std::make_unique<OptimalAttack>());
   registry.add(std::make_unique<InformedAttack>());
-  registry.add(std::make_unique<FocusedAttackAdapter>());
-  registry.add(std::make_unique<HamLabeledAttackAdapter>());
-  registry.add(std::make_unique<GoodWordAttackAdapter>());
+  registry.add(std::make_unique<FocusedAttack>());
+  registry.add(std::make_unique<HamLabeledAttack>());
+  registry.add(std::make_unique<GoodWordAttack>());
   registry.add(std::make_unique<BackdoorTriggerAttack>());
   registry.add(std::make_unique<ObfuscationAttack>());
 }

@@ -16,6 +16,15 @@ DictionaryAttack::DictionaryAttack(std::string name,
   message_ = email::MessageBuilder().body_from_words(dictionary).build();
 }
 
+CanonicalPoison DictionaryAttack::canonical_poison() const {
+  CanonicalPoison poison;
+  poison.message = message_;
+  poison.train_as = corpus::TrueLabel::spam;
+  poison.display_name = name_;
+  poison.payload_size = dictionary_size_;
+  return poison;
+}
+
 DictionaryAttack DictionaryAttack::aspell(const corpus::Lexicons& lexicons) {
   return DictionaryAttack("aspell", lexicons.aspell());
 }

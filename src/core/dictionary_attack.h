@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "core/attack.h"
 #include "core/taxonomy.h"
 #include "corpus/generator.h"
 #include "corpus/vocabulary.h"
@@ -58,6 +59,10 @@ class DictionaryAttack {
   /// The (single, canonical) attack email: empty header, body carrying the
   /// whole dictionary. The attacker sends `count` copies of this message.
   const email::Message& attack_message() const { return message_; }
+
+  /// The attack as the Causative drivers consume it: attack_message(),
+  /// trained as spam, displayed under name(), no trigger.
+  CanonicalPoison canonical_poison() const;
 
   /// Causative / Availability / Indiscriminate.
   static AttackProperties properties() {

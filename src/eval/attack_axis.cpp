@@ -31,10 +31,10 @@ BoundAttack bind_attack(std::string_view name,
   return BoundAttack{&attack, std::move(params)};
 }
 
-PoisonSpec resolve_poison(const BoundAttack& bound,
-                          const corpus::TrecLikeGenerator& generator,
-                          util::Rng& rng) {
-  const std::optional<core::CanonicalPoison> canonical =
+core::CanonicalPoison resolve_poison(
+    const BoundAttack& bound, const corpus::TrecLikeGenerator& generator,
+    util::Rng& rng) {
+  std::optional<core::CanonicalPoison> canonical =
       bound.attack->canonical_poison(generator, bound.params, rng);
   if (!canonical.has_value()) {
     throw InvalidArgument(
@@ -43,13 +43,7 @@ PoisonSpec resolve_poison(const BoundAttack& bound,
         "identical-copy Causative attack (aspell, usenet, optimal, "
         "informed, ham-labeled, backdoor-trigger)");
   }
-  PoisonSpec spec;
-  spec.name = canonical->display_name;
-  spec.payload_size = canonical->payload_size;
-  spec.message = canonical->message;
-  spec.train_as = canonical->train_as;
-  spec.trigger = bound.attack->trigger_tokens(bound.params);
-  return spec;
+  return std::move(*canonical);
 }
 
 void tag_attack(ResultDoc& doc, const core::Attack& attack) {

@@ -35,15 +35,15 @@ struct BoundAttack {
 /// as the raw string.
 BoundAttack bind_attack(std::string_view name, const Config& experiment_config);
 
-/// Crafts the bound attack's canonical poison as a PoisonSpec (display
-/// name, payload size, message, training label, trigger tokens). `rng`
-/// feeds attacks whose canonical message has random parts (ham-labeled
-/// and backdoor-trigger clone ham headers); the dictionary family ignores
-/// it. Throws sbx::InvalidArgument when the attack has no canonical
-/// identical-copy form (focused, good-word, obfuscation).
-PoisonSpec resolve_poison(const BoundAttack& bound,
-                          const corpus::TrecLikeGenerator& generator,
-                          util::Rng& rng);
+/// Crafts the bound attack's canonical poison (display name, payload size,
+/// message, training label, trigger tokens). `rng` feeds attacks whose
+/// canonical message has random parts (ham-labeled and backdoor-trigger
+/// clone ham headers); the dictionary family ignores it. Throws
+/// sbx::InvalidArgument when the attack has no canonical identical-copy
+/// form (focused, good-word, obfuscation).
+core::CanonicalPoison resolve_poison(const BoundAttack& bound,
+                                     const corpus::TrecLikeGenerator& generator,
+                                     util::Rng& rng);
 
 /// Stamps the attack's identity (registry name + taxonomy coordinates)
 /// onto a ResultDoc — the metadata `check_bench.py validate-resultdoc`

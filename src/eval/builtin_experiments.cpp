@@ -74,12 +74,12 @@ constexpr const char kAttackParamsHelp[] =
 /// crafts the canonical poison. The craft rng is derived from the config
 /// seed (attacks with random canonical parts — ham-labeled, backdoor —
 /// stay deterministic per seed; the dictionary family never draws).
-std::pair<BoundAttack, PoisonSpec> resolve_attack(
+std::pair<BoundAttack, core::CanonicalPoison> resolve_attack(
     const corpus::TrecLikeGenerator& gen, const Config& config) {
   BoundAttack bound = bind_attack(config.get_string("attack"), config);
   util::Rng craft_rng(config.get_uint("seed") ^ 0x63726166742d726eULL);
-  PoisonSpec spec = resolve_poison(bound, gen, craft_rng);
-  return {std::move(bound), std::move(spec)};
+  core::CanonicalPoison poison = resolve_poison(bound, gen, craft_rng);
+  return {std::move(bound), std::move(poison)};
 }
 
 /// Shared base: name/description/paper_ref plus an owned schema.
@@ -151,7 +151,7 @@ class DictionaryExperiment : public ExperimentBase {
 
   ResultDoc run(const Config& config, const RunContext& ctx) const override {
     const corpus::TrecLikeGenerator generator;
-    const auto [bound, spec] = resolve_attack(generator, config);
+    const auto [bound, poison] = resolve_attack(generator, config);
 
     DictionaryCurveConfig dc;
     dc.training_set_size =
@@ -165,9 +165,9 @@ class DictionaryExperiment : public ExperimentBase {
 
     ctx.note(strf("running %s attack vs. %zu-message training set, "
                   "%zu-fold CV...",
-                  spec.name.c_str(), dc.training_set_size, dc.folds));
+                  poison.display_name.c_str(), dc.training_set_size, dc.folds));
     const DictionaryCurve curve =
-        run_dictionary_curve(generator, spec, dc);
+        run_dictionary_curve(generator, poison, dc);
 
     ResultDoc doc = make_doc(config);
     tag_attack(doc, *bound.attack);
@@ -204,7 +204,7 @@ class DictionaryExperiment : public ExperimentBase {
     doc.add_metric("final_attack_token_ratio",
                    curve.points.back().attack_token_ratio);
     doc.add_metric("attack_email_bytes",
-                   static_cast<double>(spec.message.body().size()));
+                   static_cast<double>(poison.message.body().size()));
 
     // BadNets measurement: the attacker's trigger-stamped spam scored
     // against each poison level ("leak" = not filed as spam). Only
@@ -608,8 +608,10 @@ class RoniExperiment : public ExperimentBase {
         names.push_back(name);
         BoundAttack bound = bind_attack(name, config);
         util::Rng craft_rng(config.get_uint("seed") ^ 0x63726166742d726eULL);
-        PoisonSpec spec = resolve_poison(bound, generator, craft_rng);
-        queries.push_back(RoniQuery{spec.name, std::move(spec.message)});
+        core::CanonicalPoison poison = resolve_poison(bound, generator,
+                                                      craft_rng);
+        queries.push_back(
+            RoniQuery{poison.display_name, std::move(poison.message)});
         if (tag_taxonomy.empty()) {
           tag_taxonomy = bound.attack->properties().description();
         }
@@ -734,7 +736,7 @@ class ThresholdExperiment : public ExperimentBase {
 
   ResultDoc run(const Config& config, const RunContext& ctx) const override {
     const corpus::TrecLikeGenerator generator;
-    const auto [bound, spec] = resolve_attack(generator, config);
+    const auto [bound, poison] = resolve_attack(generator, config);
 
     ThresholdDefenseConfig tc;
     tc.base.training_set_size =
@@ -751,9 +753,9 @@ class ThresholdExperiment : public ExperimentBase {
 
     ctx.note(strf("running threshold defense vs. %s attack, "
                   "%zu-message training set, %zu-fold CV...",
-                  spec.name.c_str(), tc.base.training_set_size,
+                  poison.display_name.c_str(), tc.base.training_set_size,
                   tc.base.folds));
-    const auto points = run_threshold_defense_curve(generator, spec, tc);
+    const auto points = run_threshold_defense_curve(generator, poison, tc);
 
     ResultDoc doc = make_doc(config);
     tag_attack(doc, *bound.attack);
@@ -857,10 +859,10 @@ class RetrainingExperiment : public ExperimentBase {
 
   ResultDoc run(const Config& config, const RunContext& ctx) const override {
     const corpus::TrecLikeGenerator generator;
-    const auto [bound, spec] = resolve_attack(generator, config);
+    const auto [bound, poison] = resolve_attack(generator, config);
     const spambayes::Tokenizer tokenizer;
     const spambayes::TokenIdSet attack_ids =
-        tokenizer.tokenize_id_set(spec.message);
+        tokenizer.tokenize_id_set(poison.message);
 
     RetrainingConfig rc;
     rc.weeks = positive_uint(config, "weeks");
@@ -886,8 +888,8 @@ class RetrainingExperiment : public ExperimentBase {
     AttackInjection injection(
         static_cast<std::size_t>(config.get_uint("attack_week")),
         attack_ids, copies);
-    injection.label = spec.train_as;
-    injection.trigger_ids = trigger_token_ids(spec, tokenizer);
+    injection.label = poison.train_as;
+    injection.trigger_ids = trigger_token_ids(poison, tokenizer);
     const std::vector<AttackInjection> injections = {injection};
 
     ctx.note(strf("running %zu-week timeline, %zu msgs/week...",
@@ -926,7 +928,7 @@ class RetrainingExperiment : public ExperimentBase {
     // BadNets measurement: the weekly leak rate of trigger-stamped spam.
     // Only trigger-carrying attacks add this table, so every pre-existing
     // config serializes unchanged.
-    if (!spec.trigger.empty()) {
+    if (!poison.trigger.empty()) {
       Table& leak = doc.add_table(
           "trigger", {"week", "trigger probes", "trigger leak %"});
       Series leaked{"trigger-stamped spam leaked (%)", {}, {}};
@@ -1137,7 +1139,7 @@ class HamLabeledExperiment : public ExperimentBase {
       }
     }
 
-    // The attack email comes from the registry's ham-labeled adapter: the
+    // The attack email comes from the registry's ham-labeled attack: the
     // attacker's own campaign vocabulary (the generator's spam word list
     // plus the obfuscated junk tokens) under headers cloned from a real
     // ham message so the email passes as legitimate. What the attacker can

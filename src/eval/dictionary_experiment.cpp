@@ -1,8 +1,8 @@
 // Figure 1 driver: identical-copy Causative attacks under K-fold
-// cross-validation. Generic over the PoisonSpec — spam-labeled dictionary
-// poisoning (the paper's §3.2 attacks) runs bit-identically to the
-// historical driver, while ham-labeled specs (ham-labeled, backdoor)
-// train their copies as ham and, when the spec carries BadNets trigger
+// cross-validation. Generic over the core::CanonicalPoison — spam-labeled
+// dictionary poisoning (the paper's §3.2 attacks) runs bit-identically to
+// the historical driver, while ham-labeled poisons (ham-labeled, backdoor)
+// train their copies as ham and, when the poison carries BadNets trigger
 // tokens, every test-fold spam is additionally re-classified with the
 // trigger stamped in.
 #include <algorithm>
@@ -13,20 +13,12 @@
 
 namespace sbx::eval {
 
-PoisonSpec poison_spec_from(const core::DictionaryAttack& attack) {
-  PoisonSpec spec;
-  spec.name = attack.name();
-  spec.payload_size = attack.dictionary_size();
-  spec.message = attack.attack_message();
-  spec.train_as = corpus::TrueLabel::spam;
-  return spec;
-}
-
 spambayes::TokenIdSet trigger_token_ids(
-    const PoisonSpec& spec, const spambayes::Tokenizer& tokenizer) {
-  if (spec.trigger.empty()) return {};
+    const core::CanonicalPoison& poison,
+    const spambayes::Tokenizer& tokenizer) {
+  if (poison.trigger.empty()) return {};
   std::string joined;
-  for (const auto& token : spec.trigger) {
+  for (const auto& token : poison.trigger) {
     if (!joined.empty()) joined.push_back(' ');
     joined += token;
   }
@@ -34,7 +26,7 @@ spambayes::TokenIdSet trigger_token_ids(
 }
 
 DictionaryCurve run_dictionary_curve(const corpus::TrecLikeGenerator& gen,
-                                     const PoisonSpec& spec,
+                                     const core::CanonicalPoison& poison,
                                      const DictionaryCurveConfig& config) {
   Runner runner(config.seed, config.threads);
 
@@ -59,13 +51,13 @@ DictionaryCurve run_dictionary_curve(const corpus::TrecLikeGenerator& gen,
   // and its raw token count is the §4.2 numerator.
   std::size_t attack_tokens_per_message = 0;
   const spambayes::TokenIdSet attack_ids = tokenizer.tokenize_id_set(
-      spec.message, spambayes::IdMode::kIntern, &attack_tokens_per_message);
-  const bool train_as_spam = spec.train_as == corpus::TrueLabel::spam;
+      poison.message, spambayes::IdMode::kIntern, &attack_tokens_per_message);
+  const bool train_as_spam = poison.train_as == corpus::TrueLabel::spam;
 
   // The BadNets trigger, as the ids stamping it onto a message produces.
-  const bool has_trigger = !spec.trigger.empty();
+  const bool has_trigger = !poison.trigger.empty();
   const spambayes::TokenIdSet trigger_ids =
-      trigger_token_ids(spec, tokenizer);
+      trigger_token_ids(poison, tokenizer);
 
   util::Rng fold_rng = runner.fork(2);
   const std::vector<corpus::FoldSplit> folds =
@@ -148,8 +140,8 @@ DictionaryCurve run_dictionary_curve(const corpus::TrecLikeGenerator& gen,
       });
 
   DictionaryCurve curve;
-  curve.attack_name = spec.name;
-  curve.dictionary_size = spec.payload_size;
+  curve.attack_name = poison.display_name;
+  curve.dictionary_size = poison.payload_size;
   curve.has_trigger = has_trigger;
   const std::size_t train_size = folds.front().train.size();
   for (std::size_t pi = 0; pi < fractions.size(); ++pi) {

@@ -6,6 +6,11 @@
 // result structs; the figure specs only format them. Tests run the same
 // drivers at reduced scale.
 //
+// Attacks: a driver names an attack only through the attack registry. The
+// Causative drivers take the core::CanonicalPoison a registry attack
+// crafts (eval::resolve_poison, attack_axis.h); the focused drivers take
+// a core::Attack and its params and call its craft_poison hook.
+//
 // Determinism: every driver forks all randomness from its config seed, and
 // parallelism (folds / repetitions across threads) never changes results.
 // All drivers execute through eval::Runner (runner.h), which enforces this:
@@ -19,9 +24,7 @@
 #include <vector>
 
 #include "core/attack.h"
-#include "core/dictionary_attack.h"
 #include "core/dynamic_threshold.h"
-#include "core/focused_attack.h"
 #include "core/roni.h"
 #include "corpus/dataset.h"
 #include "corpus/generator.h"
@@ -31,34 +34,11 @@
 
 namespace sbx::eval {
 
-// ---------------------------------------------------------------------------
-// Generic poison description — what the Causative drivers consume.
-// ---------------------------------------------------------------------------
-
-/// One identical-copy Causative attack, reduced to what the drivers need:
-/// the canonical message, the label its copies are trained under, and the
-/// optional BadNets trigger the attacker stamps onto its own post-poison
-/// spam. Built from a registry attack by eval::resolve_poison
-/// (attack_axis.h) or from a core::DictionaryAttack by poison_spec_from.
-struct PoisonSpec {
-  std::string name;              // display name, e.g. "usenet-90000"
-  std::size_t payload_size = 0;  // dictionary/payload words
-  email::Message message;        // the canonical attack email
-  corpus::TrueLabel train_as = corpus::TrueLabel::spam;
-  /// Trigger tokens stamped onto the attacker's future spam (empty for
-  /// attacks whose future mail is unmodified). When set, the dictionary
-  /// and retraining drivers additionally measure trigger-stamped spam.
-  std::vector<std::string> trigger;
-};
-
-/// The spec of a dictionary-family attack (spam-labeled, no trigger).
-PoisonSpec poison_spec_from(const core::DictionaryAttack& attack);
-
-/// The spec's trigger tokens as the deduplicated id set that stamping
+/// The poison's trigger tokens as the deduplicated id set that stamping
 /// them onto a message produces (empty when the attack has no trigger).
 /// Single home for the trigger-text tokenization so the dictionary and
 /// retraining measurements cannot diverge.
-spambayes::TokenIdSet trigger_token_ids(const PoisonSpec& spec,
+spambayes::TokenIdSet trigger_token_ids(const core::CanonicalPoison& poison,
                                         const spambayes::Tokenizer& tokenizer);
 
 // ---------------------------------------------------------------------------
@@ -106,18 +86,13 @@ struct DictionaryCurve {
   std::vector<DictionaryCurvePoint> points;
 };
 
-/// Generic Causative driver: trains `spec.message` copies under
-/// `spec.train_as` at each attack fraction. For a spam-labeled spec with
-/// no trigger this is bit-identical to the historical dictionary driver.
+/// Generic Causative driver: trains `poison.message` copies under
+/// `poison.train_as` at each attack fraction. For a spam-labeled poison
+/// with no trigger this is bit-identical to the historical dictionary
+/// driver.
 DictionaryCurve run_dictionary_curve(const corpus::TrecLikeGenerator& gen,
-                                     const PoisonSpec& spec,
+                                     const core::CanonicalPoison& poison,
                                      const DictionaryCurveConfig& config);
-
-inline DictionaryCurve run_dictionary_curve(
-    const corpus::TrecLikeGenerator& gen, const core::DictionaryAttack& attack,
-    const DictionaryCurveConfig& config) {
-  return run_dictionary_curve(gen, poison_spec_from(attack), config);
-}
 
 // ---------------------------------------------------------------------------
 // Figures 2 & 3: the focused attack.
@@ -146,22 +121,16 @@ struct FocusedKnowledgePoint {
   std::size_t control_as_ham = 0;  // pre-attack sanity: targets are ham
 };
 
-/// Attack-parametric form: `attack` crafts the per-target poison through
-/// core::Attack::craft_poison (the CraftContext carries the target, its
-/// attacker-guessable body words and the spam header pool). When the
-/// attack declares a "guess_probability" parameter it is overridden per
-/// point; other attacks run once per listed probability with identical
-/// poison (the x-axis degenerates, but indiscriminate attacks remain
-/// comparable against the focused curves).
+/// `attack` crafts the per-target poison through core::Attack::craft_poison
+/// (the CraftContext carries the target, its attacker-guessable body words
+/// and the spam header pool). When the attack declares a
+/// "guess_probability" parameter it is overridden per point; other attacks
+/// run once per listed probability with identical poison (the x-axis
+/// degenerates, but indiscriminate attacks remain comparable against the
+/// focused curves).
 std::vector<FocusedKnowledgePoint> run_focused_knowledge(
     const corpus::TrecLikeGenerator& gen, const core::Attack& attack,
     const util::Config& attack_params,
-    const std::vector<double>& guess_probabilities, std::size_t attack_count,
-    const FocusedConfig& config);
-
-/// Historical form: the registry "focused" attack with default params.
-std::vector<FocusedKnowledgePoint> run_focused_knowledge(
-    const corpus::TrecLikeGenerator& gen,
     const std::vector<double>& guess_probabilities, std::size_t attack_count,
     const FocusedConfig& config);
 
@@ -178,11 +147,6 @@ struct FocusedSizePoint {
 std::vector<FocusedSizePoint> run_focused_size(
     const corpus::TrecLikeGenerator& gen, const core::Attack& attack,
     const util::Config& attack_params, double guess_probability,
-    const std::vector<double>& attack_fractions, const FocusedConfig& config);
-
-/// Historical form: the registry "focused" attack with default params.
-std::vector<FocusedSizePoint> run_focused_size(
-    const corpus::TrecLikeGenerator& gen, double guess_probability,
     const std::vector<double>& attack_fractions, const FocusedConfig& config);
 
 // ---------------------------------------------------------------------------
@@ -206,8 +170,9 @@ struct TokenShiftExample {
   std::vector<TokenShiftPoint> tokens;
 };
 
-/// Runs focused attacks on fresh targets until one example of each
-/// requested post-attack verdict is found (or `max_targets` tried).
+/// Runs the registry "focused" attack (default params, `guess_probability`
+/// overridden) on fresh targets until one example of each post-attack
+/// verdict is found (or `max_targets` tried).
 std::vector<TokenShiftExample> run_token_shift(
     const corpus::TrecLikeGenerator& gen, double guess_probability,
     std::size_t attack_count, const FocusedConfig& config,
@@ -259,12 +224,6 @@ RoniExperimentResult run_roni_experiment(const corpus::TrecLikeGenerator& gen,
                                          const std::vector<RoniQuery>& queries,
                                          const RoniExperimentConfig& config);
 
-/// Historical form over dictionary-attack variants.
-RoniExperimentResult run_roni_experiment(
-    const corpus::TrecLikeGenerator& gen,
-    const std::vector<const core::DictionaryAttack*>& attacks,
-    const RoniExperimentConfig& config);
-
 // ---------------------------------------------------------------------------
 // Figure 5: the dynamic threshold defense vs. the dictionary attack.
 // ---------------------------------------------------------------------------
@@ -287,14 +246,8 @@ struct ThresholdCurvePoint {
 };
 
 std::vector<ThresholdCurvePoint> run_threshold_defense_curve(
-    const corpus::TrecLikeGenerator& gen, const PoisonSpec& spec,
+    const corpus::TrecLikeGenerator& gen, const core::CanonicalPoison& poison,
     const ThresholdDefenseConfig& config);
-
-inline std::vector<ThresholdCurvePoint> run_threshold_defense_curve(
-    const corpus::TrecLikeGenerator& gen, const core::DictionaryAttack& attack,
-    const ThresholdDefenseConfig& config) {
-  return run_threshold_defense_curve(gen, poison_spec_from(attack), config);
-}
 
 // ---------------------------------------------------------------------------
 // Shared helpers (exposed for tests).

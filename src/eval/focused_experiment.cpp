@@ -1,17 +1,18 @@
-// Figures 2, 3 and 4 drivers: the focused (targeted) attack. The
-// knowledge/size curves are attack-parametric: poison emails come from a
-// core::Attack's craft_poison hook (the CraftContext carries the target
-// and the spam header pool), with the registry "focused" adapter
-// reproducing the historical driver bit-for-bit.
+// Figures 2, 3 and 4 drivers: the focused (targeted) attack. Poison
+// emails come from a core::Attack's craft_poison hook (the CraftContext
+// carries the target and the spam header pool): the knowledge/size curves
+// take any attack, Figure 4 the registry "focused" attack.
 #include <algorithm>
 #include <unordered_set>
 
 #include "core/attack_math.h"
 #include "core/attack_registry.h"
+#include "core/focused_attack.h"
 #include "eval/attack_axis.h"
 #include "eval/experiments.h"
 #include "eval/runner.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace sbx::eval {
 namespace {
@@ -267,27 +268,13 @@ std::vector<FocusedSizePoint> run_focused_size(
   return points;
 }
 
-std::vector<FocusedKnowledgePoint> run_focused_knowledge(
-    const corpus::TrecLikeGenerator& gen,
-    const std::vector<double>& guess_probabilities, std::size_t attack_count,
-    const FocusedConfig& config) {
-  const core::Attack& attack = core::builtin_attack_registry().get("focused");
-  return run_focused_knowledge(gen, attack, attack.default_params(),
-                               guess_probabilities, attack_count, config);
-}
-
-std::vector<FocusedSizePoint> run_focused_size(
-    const corpus::TrecLikeGenerator& gen, double guess_probability,
-    const std::vector<double>& attack_fractions, const FocusedConfig& config) {
-  const core::Attack& attack = core::builtin_attack_registry().get("focused");
-  return run_focused_size(gen, attack, attack.default_params(),
-                          guess_probability, attack_fractions, config);
-}
-
 std::vector<TokenShiftExample> run_token_shift(
     const corpus::TrecLikeGenerator& gen, double guess_probability,
     std::size_t attack_count, const FocusedConfig& config,
     std::size_t max_targets) {
+  const core::Attack& attack = core::builtin_attack_registry().get("focused");
+  util::Config params = attack.default_params();
+  params.set("guess_probability", round_trip_string(guess_probability));
   util::Rng rng(config.seed);
   FocusedRun run(gen, config, rng);
   const spambayes::Tokenizer tokenizer(config.filter.tokenizer);
@@ -307,12 +294,12 @@ std::vector<TokenShiftExample> run_token_shift(
     const spambayes::TokenSet body_words =
         core::attackable_body_words(target, tokenizer);
 
-    core::FocusedAttackConfig attack_config;
-    attack_config.guess_probability = guess_probability;
     util::Rng attack_rng = rng.fork(15485863 * (t + 1));
-    core::FocusedAttack attack(attack_config, body_words, attack_rng);
-    std::vector<email::Message> attack_emails =
-        attack.generate(run.spam_headers, attack_count, attack_rng);
+    core::CraftContext ctx{gen,        params,      attack_rng,
+                           attack_count, &target,   &body_words,
+                           &run.spam_headers};
+    const std::vector<email::Message> attack_emails =
+        attack.craft_poison(ctx);
 
     // Token scores before. Shift points are reported in spelling order
     // (the order the string path produced).
@@ -332,13 +319,17 @@ std::vector<TokenShiftExample> run_token_shift(
       shift.push_back(std::move(p));
     }
 
-    std::vector<spambayes::TokenIdSet> attack_ids;
-    attack_ids.reserve(attack_emails.size());
-    for (const auto& m : attack_emails) {
-      attack_ids.push_back(tokenizer.tokenize_id_set(m));
+    const std::vector<spambayes::TokenIdSet> attack_ids =
+        tokenize_attack_emails(attack_emails, tokenizer);
+    // Every email carries the one fixed guess set as its body, one word
+    // per whitespace-separated field, so the first body is the guess.
+    std::unordered_set<std::string> guessed;
+    if (!attack_emails.empty()) {
+      for (const auto& word : util::split_whitespace(
+               attack_emails.front().body())) {
+        guessed.insert(word);
+      }
     }
-    const std::unordered_set<std::string> guessed(
-        attack.guessed_words().begin(), attack.guessed_words().end());
 
     for (const auto& ids : attack_ids) {
       run.filter.train_spam_ids(ids);

@@ -80,16 +80,4 @@ RoniExperimentResult run_roni_experiment(const corpus::TrecLikeGenerator& gen,
   return result;
 }
 
-RoniExperimentResult run_roni_experiment(
-    const corpus::TrecLikeGenerator& gen,
-    const std::vector<const core::DictionaryAttack*>& attacks,
-    const RoniExperimentConfig& config) {
-  std::vector<RoniQuery> queries;
-  queries.reserve(attacks.size());
-  for (const core::DictionaryAttack* attack : attacks) {
-    queries.push_back(RoniQuery{attack->name(), attack->attack_message()});
-  }
-  return run_roni_experiment(gen, queries, config);
-}
-
 }  // namespace sbx::eval

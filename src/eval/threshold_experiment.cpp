@@ -18,7 +18,7 @@ struct ThresholdFoldResult {
 }  // namespace
 
 std::vector<ThresholdCurvePoint> run_threshold_defense_curve(
-    const corpus::TrecLikeGenerator& gen, const PoisonSpec& spec,
+    const corpus::TrecLikeGenerator& gen, const core::CanonicalPoison& poison,
     const ThresholdDefenseConfig& config) {
   const DictionaryCurveConfig& base = config.base;
   Runner runner(base.seed, base.threads);
@@ -32,8 +32,8 @@ std::vector<ThresholdCurvePoint> run_threshold_defense_curve(
   const corpus::TokenizedDataset tokenized =
       corpus::tokenize_dataset(dataset, tokenizer);
   const spambayes::TokenIdSet attack_ids =
-      tokenizer.tokenize_id_set(spec.message);
-  const bool train_as_spam = spec.train_as == corpus::TrueLabel::spam;
+      tokenizer.tokenize_id_set(poison.message);
+  const bool train_as_spam = poison.train_as == corpus::TrueLabel::spam;
 
   util::Rng fold_rng = runner.fork(2);
   const std::vector<corpus::FoldSplit> folds =

@@ -255,34 +255,6 @@ void ModelShard::maybe_snapshot() {
   durability_->note_snapshot();
 }
 
-void ModelShard::apply_train(std::size_t local,
-                             const spambayes::TokenIdSet& ids, bool as_spam,
-                             std::uint32_t copies) {
-  UserModel& model = user(local);
-  const util::MutexLock lock(mutation_mutex_);
-  // durability_ is read under the lock: attach_durability may race this
-  // call, and the WAL-bypass check must see the attached state.
-  if (durability_ != nullptr) {
-    throw InvalidArgument(
-        "ModelShard: apply_train bypasses the WAL; use apply_mutation on a "
-        "durable shard");
-  }
-  model.train(ids, as_spam, copies, base_, mutation_mutex_);
-}
-
-void ModelShard::apply_untrain(std::size_t local,
-                               const spambayes::TokenIdSet& ids, bool as_spam,
-                               std::uint32_t copies) {
-  UserModel& model = user(local);
-  const util::MutexLock lock(mutation_mutex_);
-  if (durability_ != nullptr) {
-    throw InvalidArgument(
-        "ModelShard: apply_untrain bypasses the WAL; use apply_mutation on a "
-        "durable shard");
-  }
-  model.untrain(ids, as_spam, copies, mutation_mutex_);
-}
-
 void ModelShard::record_classified(std::size_t local, std::uint64_t messages) {
   user(local).record_classified(messages);
 }

@@ -171,20 +171,6 @@ class ModelShard {
   /// the seqno counter past everything the standby absorbed).
   std::uint64_t last_seqno() const SBX_EXCLUDES(mutation_mutex_);
 
-  /// Applies one training mutation under the shard mutation lock.
-  /// (Durability-free compatibility path; throws when a WAL is attached —
-  /// callers must go through apply_mutation so the mutation is logged.)
-  void apply_train(std::size_t local, const spambayes::TokenIdSet& ids,
-                   bool as_spam, std::uint32_t copies)
-      SBX_EXCLUDES(mutation_mutex_);
-
-  /// Applies one untraining mutation under the shard mutation lock.
-  /// Throws InvalidArgument when the user's overlay does not contain the
-  /// message (fail loudly instead of silently corrupting counts).
-  void apply_untrain(std::size_t local, const spambayes::TokenIdSet& ids,
-                     bool as_spam, std::uint32_t copies)
-      SBX_EXCLUDES(mutation_mutex_);
-
   /// Attributes `messages` classified messages to user `local`.
   void record_classified(std::size_t local, std::uint64_t messages);
 

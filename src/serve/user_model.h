@@ -6,7 +6,7 @@
 // Every user starts with a null overlay — classification then runs
 // directly against the base through the generation-cached ScoreEngine, so
 // an idle fleet of a million users costs one database, one memo, zero
-// per-user bytes beyond the slot itself. The first train/untrain call
+// per-user bytes beyond the slot itself. The first mutation
 // materializes a private SparseTokenDatabase holding only that user's
 // feedback; classification merges it with the base on the fly
 // (ScoreEngine's overlay form, score_ids(base, overlay, ids)), which is
@@ -72,23 +72,6 @@ class UserModel {
   // capability parameter: "caller holds the shard mutation lock" is not a
   // comment here, it is SBX_REQUIRES(mu) — a clang build refuses call
   // sites that do not provably hold the lock they pass.
-
-  /// Copy-on-write train: copies the current overlay (or starts an empty
-  /// one), trains `copies` messages with token set `ids`, publishes the
-  /// copy (release). Throws sbx::InvalidArgument, publishing nothing, when
-  /// base + overlay + `copies` would pass UINT32_MAX for that class. Caller
-  /// holds `mu`, the shard mutation lock.
-  void train(const spambayes::TokenIdSet& ids, bool as_spam,
-             std::uint32_t copies, const BaseTotals& base, util::Mutex& mu)
-      SBX_REQUIRES(mu);
-
-  /// Copy-on-write untrain, exactly reversing a train with the same
-  /// arguments. Throws sbx::InvalidArgument when the overlay does not
-  /// contain the message (never trained, or already untrained) — the
-  /// published overlay is untouched in that case. Caller holds `mu`, the
-  /// shard mutation lock.
-  void untrain(const spambayes::TokenIdSet& ids, bool as_spam,
-               std::uint32_t copies, util::Mutex& mu) SBX_REQUIRES(mu);
 
   /// The prepare half of a mutation: builds (but does not publish) the
   /// next overlay state in O(this user's entries), whatever the size of

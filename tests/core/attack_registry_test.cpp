@@ -255,20 +255,46 @@ TEST(AttackRegistry, ExploratoryAttacksEvadeDeterministically) {
 TEST(AttackRegistry, BackdoorTriggerTokensAreRareAndSeedStable) {
   const Attack& attack = builtin_attack_registry().get("backdoor-trigger");
   util::Config params = attack.default_params();
-  const std::vector<std::string> trigger = attack.trigger_tokens(params);
+  auto trigger_of = [&](const util::Config& p) {
+    util::Rng rng(1);
+    return attack.canonical_poison(generator(), p, rng)->trigger;
+  };
+  const std::vector<std::string> trigger = trigger_of(params);
   ASSERT_EQ(trigger.size(), 8u);  // the default trigger_length
   for (const auto& token : trigger) {
     EXPECT_EQ(token.rfind("xq", 0), 0u) << token;  // lexicon-disjoint prefix
     EXPECT_EQ(token.size(), 8u);
   }
-  EXPECT_EQ(trigger, attack.trigger_tokens(params));  // seed-stable
+  EXPECT_EQ(trigger, trigger_of(params));  // seed-stable
 
   params.set("trigger_seed", "43");
-  EXPECT_NE(trigger, attack.trigger_tokens(params));
+  EXPECT_NE(trigger, trigger_of(params));
   params.set("trigger_length", "3");
-  EXPECT_EQ(attack.trigger_tokens(params).size(), 3u);
+  EXPECT_EQ(trigger_of(params).size(), 3u);
   params.set("trigger_length", "0");
-  EXPECT_THROW(attack.trigger_tokens(params), InvalidArgument);
+  EXPECT_THROW(trigger_of(params), InvalidArgument);
+}
+
+TEST(AttackRegistry, DegenerateQueryBatchesThrow) {
+  // A zero-word batch between filter queries would never progress; the
+  // Exploratory attacks reject it instead of silently querying one word
+  // at a time.
+  util::Rng spam_rng(5);
+  const email::Message spam = generator().generate_spam(spam_rng);
+  for (const auto& [name, key] :
+       {std::pair<const char*, const char*>{"good-word", "batch_size"},
+        std::pair<const char*, const char*>{"obfuscation",
+                                            "mangle_per_query"}}) {
+    SCOPED_TRACE(name);
+    const Attack& attack = builtin_attack_registry().get(name);
+    util::Config params = attack.default_params();
+    params.set(key, "0");
+    EvadeContext ctx{generator(), params, victim_filter(), 200,
+                     spambayes::Verdict::unsure};
+    EXPECT_THROW(attack.evade(ctx, spam), InvalidArgument);
+    params.set(key, "1");
+    EXPECT_GE(attack.evade(ctx, spam).queries, 1u);
+  }
 }
 
 }  // namespace

@@ -1,19 +1,23 @@
 // Tests for core attacks: taxonomy labels, attack-count arithmetic,
-// dictionary attack construction, focused attack guessing model.
+// dictionary attack construction, the registry focused attack's guessing
+// model.
 #include <algorithm>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
 
 #include "core/attack_math.h"
+#include "core/attack_registry.h"
 #include "core/dictionary_attack.h"
 #include "core/focused_attack.h"
 #include "core/taxonomy.h"
 #include "corpus/generator.h"
 #include "email/builder.h"
 #include "spambayes/filter.h"
+#include "support/registry_attacks.h"
 #include "support/token_ids.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace sbx::core {
 namespace {
@@ -23,7 +27,8 @@ using test_support::intern_tokens;
 TEST(Taxonomy, Descriptions) {
   AttackProperties dictionary = DictionaryAttack::properties();
   EXPECT_EQ(dictionary.description(), "Causative Availability Indiscriminate");
-  AttackProperties focused = FocusedAttack::properties();
+  AttackProperties focused =
+      builtin_attack_registry().get("focused").properties();
   EXPECT_EQ(focused.description(), "Causative Availability Targeted");
   EXPECT_EQ(to_string(Influence::exploratory), "Exploratory");
   EXPECT_EQ(to_string(Violation::integrity), "Integrity");
@@ -144,6 +149,34 @@ TEST_F(DictionaryAttackTest, PoisoningRaisesHamScores) {
 
 class FocusedAttackTest : public ::testing::Test {
  protected:
+  static const corpus::TrecLikeGenerator& generator() {
+    static const corpus::TrecLikeGenerator gen;
+    return gen;
+  }
+
+  /// `count` emails of the registry "focused" attack against `target`,
+  /// cloning headers from `pool` (a one-spam default when null).
+  static std::vector<email::Message> craft(
+      const spambayes::TokenSet& target,
+      const test_support::ParamOverrides& overrides, std::size_t count,
+      util::Rng& rng,
+      const std::vector<const email::Message*>* pool = nullptr) {
+    static const email::Message donor =
+        email::MessageBuilder().from("spam@x.example").subject("sp").build();
+    static const std::vector<const email::Message*> default_pool = {&donor};
+    const Attack& attack = builtin_attack_registry().get("focused");
+    const util::Config params = test_support::attack_params(attack, overrides);
+    CraftContext ctx{generator(), params, rng,
+                     count,       nullptr, &target,
+                     pool != nullptr ? pool : &default_pool};
+    return attack.craft_poison(ctx);
+  }
+
+  /// The guessed payload an email carries: its body's words.
+  static std::vector<std::string> payload(const email::Message& m) {
+    return util::split_whitespace(m.body());
+  }
+
   spambayes::Tokenizer tok;
 };
 
@@ -152,28 +185,22 @@ TEST_F(FocusedAttackTest, GuessProbabilityControlsPayloadSize) {
   for (int i = 0; i < 400; ++i) target.push_back("word" + std::to_string(i));
   std::sort(target.begin(), target.end());
 
-  for (double p : {0.1, 0.5, 0.9}) {
+  for (const char* p : {"0.1", "0.5", "0.9"}) {
     util::Rng rng(77);
-    FocusedAttackConfig config;
-    config.guess_probability = p;
-    FocusedAttack attack(config, target, rng);
-    double fraction =
-        static_cast<double>(attack.guessed_words().size()) / target.size();
-    EXPECT_NEAR(fraction, p, 0.08) << "p=" << p;
+    const auto guessed =
+        payload(craft(target, {{"guess_probability", p}}, 1, rng).front());
+    double fraction = static_cast<double>(guessed.size()) / target.size();
+    EXPECT_NEAR(fraction, std::stod(p), 0.08) << "p=" << p;
     // Guessed words are a subset of the target.
     std::unordered_set<std::string> t(target.begin(), target.end());
-    for (const auto& w : attack.guessed_words()) EXPECT_TRUE(t.count(w));
+    for (const auto& w : guessed) EXPECT_TRUE(t.count(w));
   }
 }
 
 TEST_F(FocusedAttackTest, SingleGuessSetSharedAcrossEmails) {
   spambayes::TokenSet target = {"aaa", "bbb", "ccc", "ddd", "eee", "fff"};
   util::Rng rng(3);
-  FocusedAttack attack({0.5, 0, false}, target, rng);
-  email::Message donor =
-      email::MessageBuilder().from("spam@x.example").subject("sp").build();
-  std::vector<const email::Message*> pool = {&donor};
-  auto emails = attack.generate(pool, 10, rng);
+  auto emails = craft(target, {}, 10, rng);
   ASSERT_EQ(emails.size(), 10u);
   for (const auto& m : emails) {
     EXPECT_EQ(m.body(), emails[0].body());  // same payload every time
@@ -185,10 +212,7 @@ TEST_F(FocusedAttackTest, FreshGuessVariantDiffersAcrossEmails) {
   for (int i = 0; i < 100; ++i) target.push_back("w" + std::to_string(i));
   std::sort(target.begin(), target.end());
   util::Rng rng(4);
-  FocusedAttack attack({0.5, 0, true}, target, rng);
-  email::Message donor = email::MessageBuilder().from("s@x").build();
-  std::vector<const email::Message*> pool = {&donor};
-  auto emails = attack.generate(pool, 5, rng);
+  auto emails = craft(target, {{"fresh_guess_per_email", "true"}}, 5, rng);
   bool any_difference = false;
   for (std::size_t i = 1; i < emails.size(); ++i) {
     any_difference |= emails[i].body() != emails[0].body();
@@ -199,7 +223,6 @@ TEST_F(FocusedAttackTest, FreshGuessVariantDiffersAcrossEmails) {
 TEST_F(FocusedAttackTest, ClonesSpamHeadersButStripsMime) {
   spambayes::TokenSet target = {"alpha", "beta", "gamma"};
   util::Rng rng(5);
-  FocusedAttack attack({1.0, 0, false}, target, rng);
   email::Message donor = email::MessageBuilder()
                              .from("spammer@offers.example")
                              .subject("great DEAL")
@@ -208,7 +231,7 @@ TEST_F(FocusedAttackTest, ClonesSpamHeadersButStripsMime) {
                              .header("Content-Transfer-Encoding", "base64")
                              .build();
   std::vector<const email::Message*> pool = {&donor};
-  auto emails = attack.generate(pool, 3, rng);
+  auto emails = craft(target, {{"guess_probability", "1"}}, 3, rng, &pool);
   for (const auto& m : emails) {
     EXPECT_EQ(m.header("From").value(), "spammer@offers.example");
     EXPECT_EQ(m.header("Subject").value(), "great DEAL");
@@ -225,23 +248,28 @@ TEST_F(FocusedAttackTest, ClonesSpamHeadersButStripsMime) {
 TEST_F(FocusedAttackTest, FullKnowledgeGuessesEverything) {
   spambayes::TokenSet target = {"one", "two", "three"};
   util::Rng rng(6);
-  FocusedAttack attack({1.0, 0, false}, target, rng);
-  EXPECT_EQ(attack.guessed_words().size(), 3u);
+  EXPECT_EQ(
+      payload(craft(target, {{"guess_probability", "1"}}, 1, rng).front()),
+      target);
 }
 
 TEST_F(FocusedAttackTest, ZeroKnowledgeFallsBackToMinimalPayload) {
   spambayes::TokenSet target = {"one", "two", "three"};
   util::Rng rng(7);
-  FocusedAttack attack({0.0, 0, false}, target, rng);
-  EXPECT_EQ(attack.guessed_words().size(), 1u);  // minimal junk payload
+  // The minimal junk payload.
+  EXPECT_EQ(
+      payload(craft(target, {{"guess_probability", "0"}}, 1, rng).front()),
+      std::vector<std::string>{"regards"});
 }
 
 TEST_F(FocusedAttackTest, Validation) {
   util::Rng rng(8);
-  EXPECT_THROW(FocusedAttack({1.5, 0, false}, {"x"}, rng), InvalidArgument);
-  EXPECT_THROW(FocusedAttack({0.5, 0, false}, {}, rng), InvalidArgument);
-  FocusedAttack ok({0.5, 0, false}, {"x"}, rng);
-  EXPECT_THROW(ok.generate({}, 1, rng), InvalidArgument);
+  EXPECT_THROW(craft({"x"}, {{"guess_probability", "1.5"}}, 1, rng),
+               InvalidArgument);
+  EXPECT_THROW(craft({}, {}, 1, rng), InvalidArgument);
+  const std::vector<const email::Message*> empty_pool;
+  EXPECT_THROW(craft({"x"}, {}, 1, rng, &empty_pool), InvalidArgument);
+  EXPECT_EQ(craft({"x"}, {}, 1, rng).size(), 1u);
 }
 
 TEST_F(FocusedAttackTest, AttackableBodyWordsExcludePseudoTokens) {
@@ -264,11 +292,14 @@ TEST_F(FocusedAttackTest, AttackableBodyWordsExcludePseudoTokens) {
 TEST_F(FocusedAttackTest, ExtraWordsAppendFillerWithoutTouchingTarget) {
   spambayes::TokenSet target = {"alpha", "beta"};
   util::Rng rng(21);
-  FocusedAttack attack({1.0, 25, false}, target, rng);
+  const auto padded = payload(
+      craft(target, {{"guess_probability", "1"}, {"extra_words", "25"}}, 1,
+            rng)
+          .front());
   // Payload = both target words + 25 filler tokens from the reserved
   // namespace.
   std::size_t filler = 0;
-  for (const auto& w : attack.guessed_words()) {
+  for (const auto& w : padded) {
     if (w.rfind("xfiller", 0) == 0) {
       ++filler;
     } else {
@@ -285,14 +316,15 @@ TEST_F(FocusedAttackTest, ExtraWordsAppendFillerWithoutTouchingTarget) {
   db.train_spam_ids(intern_tokens({"junk"}), 20);
   spambayes::Classifier classifier;
   util::Rng rng2(22);
-  FocusedAttack lean({1.0, 0, false}, target, rng2);
-  auto payload_set = [](const FocusedAttack& a) {
-    return intern_tokens(spambayes::unique_tokens(a.guessed_words()));
+  const auto lean =
+      payload(craft(target, {{"guess_probability", "1"}}, 1, rng2).front());
+  auto payload_set = [](const std::vector<std::string>& words) {
+    return intern_tokens(spambayes::unique_tokens(words));
   };
   const spambayes::TokenIdSet target_ids =
       intern_tokens({"alpha", "beta", "gamma"});
   const double with_filler = score_under_attack(
-      classifier, db, target_ids, payload_set(attack), 10);
+      classifier, db, target_ids, payload_set(padded), 10);
   const double lean_score =
       score_under_attack(classifier, db, target_ids, payload_set(lean), 10);
   EXPECT_GE(with_filler, lean_score - 1e-12);
@@ -301,7 +333,7 @@ TEST_F(FocusedAttackTest, ExtraWordsAppendFillerWithoutTouchingTarget) {
 TEST_F(FocusedAttackTest, PoisoningPushesTargetTowardSpam) {
   // End-to-end: the focused attack raises the target's score while barely
   // moving other ham.
-  corpus::TrecLikeGenerator gen;
+  const corpus::TrecLikeGenerator& gen = generator();
   util::Rng rng(9);
   spambayes::Filter filter;
   std::vector<email::Message> spam_pool;
@@ -319,9 +351,9 @@ TEST_F(FocusedAttackTest, PoisoningPushesTargetTowardSpam) {
   const double target_before = filter.classify(target).score;
   const double other_before = filter.classify(other).score;
 
-  FocusedAttack attack({0.9, 0, false},
-                       attackable_body_words(target, tok), rng);
-  for (const auto& m : attack.generate(pool, 40, rng)) {
+  for (const auto& m : craft(attackable_body_words(target, tok),
+                             {{"guess_probability", "0.9"}}, 40, rng,
+                             &pool)) {
     filter.train_spam(m);
   }
   const double target_after = filter.classify(target).score;

@@ -1,15 +1,16 @@
 // Tests for the §3.4 optimal constrained attack (informed_attack) and the
-// Exploratory good-word attack.
+// registry's Exploratory good-word attack.
 #include <algorithm>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
 
-#include "core/good_word_attack.h"
+#include "core/attack_registry.h"
 #include "core/informed_attack.h"
 #include "corpus/generator.h"
 #include "email/builder.h"
 #include "spambayes/filter.h"
+#include "support/registry_attacks.h"
 #include "util/error.h"
 
 namespace sbx::core {
@@ -110,29 +111,46 @@ class GoodWordAttackTest : public ::testing::Test {
       filter.train_ham(generator().generate_ham(rng));
       filter.train_spam(generator().generate_spam(rng));
     }
-    candidates.assign(generator().ham_core_words().begin(),
-                      generator().ham_core_words().begin() + 1'000);
+  }
+
+  /// The registry good-word attack padding with the 1,000 most common
+  /// ham-core words, `batch_size` per query.
+  EvadeResult evade(const email::Message& spam, std::size_t max_words,
+                    std::size_t batch_size = 10,
+                    spambayes::Verdict goal = spambayes::Verdict::unsure) {
+    const Attack& attack = builtin_attack_registry().get("good-word");
+    const util::Config params = test_support::attack_params(
+        attack, {{"common_words", "1000"},
+                 {"batch_size", std::to_string(batch_size)}});
+    EvadeContext ctx{generator(), params, filter, max_words, goal};
+    return attack.evade(ctx, spam);
   }
 
   spambayes::Filter filter;
-  std::vector<std::string> candidates;
 };
 
 TEST_F(GoodWordAttackTest, TaxonomyAndValidation) {
-  EXPECT_EQ(GoodWordAttack::properties().description(),
+  const Attack& attack = builtin_attack_registry().get("good-word");
+  EXPECT_EQ(attack.properties().description(),
             "Exploratory Integrity Targeted");
-  EXPECT_THROW(GoodWordAttack({}), InvalidArgument);
+  // No candidate words to pad with.
+  const util::Config params =
+      test_support::attack_params(attack, {{"common_words", "0"}});
+  EvadeContext ctx{generator(), params, filter, 100,
+                   spambayes::Verdict::unsure};
+  util::Rng rng(8);
+  EXPECT_THROW(attack.evade(ctx, generator().generate_spam(rng)),
+               InvalidArgument);
 }
 
 TEST_F(GoodWordAttackTest, PadsSpamOutOfTheSpamFolder) {
   util::Rng rng(10);
-  GoodWordAttack attack(candidates, 10);
   int evaded = 0;
   for (int i = 0; i < 20; ++i) {
     email::Message spam = generator().generate_spam(rng);
     // Skip the hard-spam tail that already starts outside the spam folder.
     if (filter.classify(spam).verdict != spambayes::Verdict::spam) continue;
-    auto result = attack.evade(filter, spam, 1'000);
+    auto result = evade(spam, 1'000);
     if (result.evaded) {
       ++evaded;
       EXPECT_LT(result.score_after, result.score_before);
@@ -148,16 +166,14 @@ TEST_F(GoodWordAttackTest, DoesNotTouchTraining) {
   util::Rng rng(11);
   email::Message spam = generator().generate_spam(rng);
   const std::uint32_t spam_before = filter.database().spam_count();
-  GoodWordAttack attack(candidates, 25);
-  (void)attack.evade(filter, spam, 500);
+  (void)evade(spam, 500, 25);
   // Exploratory: the filter's training state is untouched.
   EXPECT_EQ(filter.database().spam_count(), spam_before);
 }
 
 TEST_F(GoodWordAttackTest, AlreadyHamMessageNeedsNoWork) {
   util::Rng rng(12);
-  GoodWordAttack attack(candidates);
-  auto result = attack.evade(filter, generator().generate_ham(rng), 100);
+  auto result = evade(generator().generate_ham(rng), 100);
   EXPECT_TRUE(result.evaded);
   EXPECT_EQ(result.words_added, 0u);
   EXPECT_EQ(result.queries, 1u);
@@ -165,10 +181,8 @@ TEST_F(GoodWordAttackTest, AlreadyHamMessageNeedsNoWork) {
 
 TEST_F(GoodWordAttackTest, BudgetExhaustionReportsFailure) {
   util::Rng rng(13);
-  GoodWordAttack attack(candidates, 5);
   email::Message spam = generator().generate_spam(rng);
-  auto result = attack.evade(filter, spam, /*max_words=*/5,
-                             spambayes::Verdict::ham);
+  auto result = evade(spam, /*max_words=*/5, 5, spambayes::Verdict::ham);
   // Five common words cannot whitewash a full spam message.
   EXPECT_FALSE(result.evaded);
   EXPECT_EQ(result.words_added, 5u);
@@ -176,14 +190,11 @@ TEST_F(GoodWordAttackTest, BudgetExhaustionReportsFailure) {
 
 TEST_F(GoodWordAttackTest, StrongerGoalIsHarder) {
   util::Rng rng(14);
-  GoodWordAttack attack(candidates, 10);
   int unsure_ok = 0, ham_ok = 0;
   for (int i = 0; i < 15; ++i) {
     email::Message spam = generator().generate_spam(rng);
-    unsure_ok +=
-        attack.evade(filter, spam, 1'000, spambayes::Verdict::unsure).evaded;
-    ham_ok +=
-        attack.evade(filter, spam, 1'000, spambayes::Verdict::ham).evaded;
+    unsure_ok += evade(spam, 1'000, 10, spambayes::Verdict::unsure).evaded;
+    ham_ok += evade(spam, 1'000, 10, spambayes::Verdict::ham).evaded;
   }
   EXPECT_GE(unsure_ok, ham_ok);
 }

@@ -1,12 +1,13 @@
-// Bitwise equivalence of the ported attack adapters: each of the five
-// pre-existing attack classes (dictionary family incl. informed, focused,
-// good-word, ham-labeled) must produce byte-identical messages — and the
-// attack-parametric experiment drivers bit-identical numbers — through the
-// registry as through the original direct-construction path. Same pattern
-// as spambayes/interned_equivalence_test: the pre-port construction runs
-// verbatim next to the adapter and every byte/bit is compared.
+// Pins the registry attacks' outputs. The dictionary family is checked
+// against core::DictionaryAttack built directly, message by message and
+// through the Causative experiment drivers bit-for-bit. The focused,
+// ham-labeled and good-word attacks were once an attack class plus a
+// registry adapter each; their crafted messages (CRC-32 of headers and
+// body), evade counters and the focused-knowledge counts are pinned to the
+// values that two-class implementation produced at these fixed seeds.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -14,13 +15,14 @@
 #include "core/attack_registry.h"
 #include "core/dictionary_attack.h"
 #include "core/focused_attack.h"
-#include "core/good_word_attack.h"
-#include "core/ham_labeled_attack.h"
 #include "core/informed_attack.h"
+#include "email/builder.h"
 #include "eval/attack_axis.h"
 #include "eval/experiments.h"
 #include "eval/registry.h"
 #include "spambayes/filter.h"
+#include "support/registry_attacks.h"
+#include "util/crc32.h"
 #include "util/error.h"
 
 namespace sbx::eval {
@@ -44,24 +46,27 @@ std::string flatten(const email::Message& m) {
   return out;
 }
 
-/// Registry canonical poison under `overrides`, crafted with Rng(seed).
-PoisonSpec registry_poison(const std::string& attack_name,
-                           const std::vector<std::pair<std::string,
-                                                       std::string>>& overrides,
-                           std::uint64_t seed) {
+std::uint32_t crc_of(const email::Message& m) {
+  const std::string flat = flatten(m);
+  return util::crc32(flat.data(), flat.size());
+}
+
+/// Registry canonical poison under `overrides`, crafted with Rng(seed)
+/// through the experiments' eval::resolve_poison.
+core::CanonicalPoison registry_poison(
+    const std::string& attack_name,
+    const test_support::ParamOverrides& overrides, std::uint64_t seed) {
   const core::Attack& attack =
       core::builtin_attack_registry().get(attack_name);
-  util::Config params = attack.default_params();
-  for (const auto& [key, value] : overrides) params.set(key, value);
-  BoundAttack bound{&attack, std::move(params)};
+  BoundAttack bound{&attack, test_support::attack_params(attack, overrides)};
   util::Rng rng(seed);
   return resolve_poison(bound, generator(), rng);
 }
 
-void expect_same_poison(const PoisonSpec& ported,
+void expect_same_poison(const core::CanonicalPoison& ported,
                         const core::DictionaryAttack& direct) {
-  const PoisonSpec pre = poison_spec_from(direct);
-  EXPECT_EQ(ported.name, pre.name);
+  const core::CanonicalPoison pre = direct.canonical_poison();
+  EXPECT_EQ(ported.display_name, pre.display_name);
   EXPECT_EQ(ported.payload_size, pre.payload_size);
   EXPECT_EQ(ported.train_as, pre.train_as);
   EXPECT_TRUE(ported.trigger.empty());
@@ -93,18 +98,12 @@ TEST(AttackEquivalence, OptimalRejectsTruncation) {
 }
 
 TEST(AttackEquivalence, HamLabeledCanonicalMessage) {
-  // Pre-port construction, verbatim from the old ham-labeled experiment.
-  util::Rng pre_rng(77);
-  std::vector<std::string> payload = generator().spam_vocab_words();
-  const auto& junk = generator().spam_junk_words();
-  payload.insert(payload.end(), junk.begin(), junk.end());
-  const email::Message donor = generator().generate_ham(pre_rng);
-  const core::HamLabeledAttack direct(payload, donor.headers());
-
-  const PoisonSpec ported = registry_poison("ham-labeled", {}, 77);
-  EXPECT_EQ(ported.train_as, corpus::TrueLabel::ham);
-  EXPECT_EQ(ported.payload_size, direct.payload_size());
-  EXPECT_EQ(flatten(ported.message), flatten(direct.attack_message()));
+  const core::CanonicalPoison poison = registry_poison("ham-labeled", {}, 77);
+  EXPECT_EQ(poison.train_as, corpus::TrueLabel::ham);
+  EXPECT_EQ(poison.display_name, "ham-labeled");
+  EXPECT_EQ(poison.payload_size, 8500u);
+  EXPECT_TRUE(poison.trigger.empty());
+  EXPECT_EQ(crc_of(poison.message), 0x9fc969dfu);
 }
 
 TEST(AttackEquivalence, FocusedCraftedMessages) {
@@ -115,28 +114,41 @@ TEST(AttackEquivalence, FocusedCraftedMessages) {
       core::attackable_body_words(target, tokenizer);
   const email::Message spam_a = generator().generate_spam(setup_rng);
   const email::Message spam_b = generator().generate_spam(setup_rng);
-  const std::vector<const email::Message*> header_pool = {&spam_a, &spam_b};
+  // A MIME donor: the attack must strip its framing headers.
+  const email::Message mime_donor =
+      email::MessageBuilder()
+          .from("offers@deals.example")
+          .subject("your order")
+          .header("Content-Type", "multipart/mixed; boundary=\"b1\"")
+          .header("Content-Transfer-Encoding", "base64")
+          .build();
+  const std::vector<const email::Message*> header_pool = {&spam_a, &spam_b,
+                                                          &mime_donor};
 
-  // Pre-port construction, verbatim from the old focused driver.
-  core::FocusedAttackConfig config;
-  config.guess_probability = 0.3;
-  util::Rng pre_rng(11);
-  const core::FocusedAttack direct(config, body_words, pre_rng);
-  const std::vector<email::Message> pre =
-      direct.generate(header_pool, 5, pre_rng);
-
-  // The adapter, from the identically-seeded rng.
+  struct Variant {
+    test_support::ParamOverrides overrides;
+    std::vector<std::uint32_t> crcs;
+  };
+  const std::vector<Variant> variants = {
+      {{}, {0x798d2dd6, 0x0d8bf718, 0xadf5616b, 0x0d8bf718, 0x798d2dd6}},
+      {{{"fresh_guess_per_email", "true"}},
+       {0x00f36326, 0xb0420886, 0x9042ad88, 0xceb2e88f, 0x4fe44dc4}},
+      {{{"extra_words", "5"}},
+       {0xf0736eec, 0xf0736eec, 0x5781342f, 0x5781342f, 0x5781342f}},
+  };
   const core::Attack& attack = core::builtin_attack_registry().get("focused");
-  util::Config params = attack.default_params();
-  params.set("guess_probability", "0.3");
-  util::Rng rng(11);
-  core::CraftContext ctx{generator(), params, rng, 5, &target, &body_words,
-                         &header_pool};
-  const std::vector<email::Message> ported = attack.craft_poison(ctx);
-
-  ASSERT_EQ(ported.size(), pre.size());
-  for (std::size_t i = 0; i < pre.size(); ++i) {
-    EXPECT_EQ(flatten(ported[i]), flatten(pre[i])) << "message " << i;
+  for (const Variant& variant : variants) {
+    util::Config params =
+        test_support::attack_params(attack, variant.overrides);
+    params.set("guess_probability", "0.3");
+    util::Rng rng(11);
+    core::CraftContext ctx{generator(), params, rng, 5, &target, &body_words,
+                           &header_pool};
+    const std::vector<email::Message> crafted = attack.craft_poison(ctx);
+    ASSERT_EQ(crafted.size(), variant.crcs.size());
+    for (std::size_t i = 0; i < crafted.size(); ++i) {
+      EXPECT_EQ(crc_of(crafted[i]), variant.crcs[i]) << "message " << i;
+    }
   }
 }
 
@@ -158,34 +170,36 @@ TEST(AttackEquivalence, GoodWordEvadeResult) {
   }
   const email::Message spam = generator().generate_spam(train_rng);
 
-  // Pre-port construction, verbatim from the old good-word experiment.
-  const auto& core_words = generator().ham_core_words();
-  const std::size_t word_count = std::min<std::size_t>(core_words.size(), 500);
-  std::vector<std::string> candidates(core_words.begin(),
-                                      core_words.begin() + word_count);
-  const core::GoodWordAttack direct(candidates, 10);
-  const core::GoodWordAttack::Result pre =
-      direct.evade(filter, spam, 400, spambayes::Verdict::unsure);
-
+  struct Expected {
+    spambayes::Verdict goal;
+    std::uint32_t crc;
+    std::size_t words_added;
+    std::size_t queries;
+    bool evaded;
+  };
   const core::Attack& attack =
       core::builtin_attack_registry().get("good-word");
   util::Config params = attack.default_params();
   params.set("common_words", "500");
-  core::EvadeContext ctx{generator(), params, filter, 400,
-                         spambayes::Verdict::unsure};
-  const core::EvadeResult ported = attack.evade(ctx, spam);
-
-  EXPECT_EQ(flatten(ported.message), flatten(pre.message));
-  EXPECT_EQ(ported.words_added, pre.words_added);
-  EXPECT_EQ(ported.queries, pre.queries);
-  EXPECT_EQ(ported.score_before, pre.score_before);  // bit-identical doubles
-  EXPECT_EQ(ported.score_after, pre.score_after);
-  EXPECT_EQ(ported.evaded, pre.evaded);
+  for (const Expected& expected :
+       {Expected{spambayes::Verdict::unsure, 0x42107211, 250, 26, true},
+        Expected{spambayes::Verdict::ham, 0xcf321d28, 400, 41, false}}) {
+    core::EvadeContext ctx{generator(), params, filter, 400, expected.goal};
+    const core::EvadeResult result = attack.evade(ctx, spam);
+    EXPECT_EQ(crc_of(result.message), expected.crc);
+    EXPECT_EQ(result.words_added, expected.words_added);
+    EXPECT_EQ(result.queries, expected.queries);
+    EXPECT_EQ(result.evaded, expected.evaded);
+    // The scores are the filter's own, bit-for-bit.
+    EXPECT_EQ(result.score_before, filter.classify(spam).score);
+    EXPECT_EQ(result.score_after, filter.classify(result.message).score);
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Experiment-level equivalence: the attack-parametric drivers reproduce the
-// pre-port numbers bit-for-bit when handed the ported adapters.
+// Experiment-level equivalence: the Causative drivers give the same numbers
+// for a registry attack as for the core::DictionaryAttack it wraps, and the
+// focused driver reproduces its pinned counts at any thread count.
 // ---------------------------------------------------------------------------
 
 void expect_same_matrix(const ConfusionMatrix& a, const ConfusionMatrix& b) {
@@ -205,11 +219,13 @@ TEST(AttackEquivalence, DictionaryCurveThroughRegistry) {
   config.folds = 2;
   config.attack_fractions = {0.02};
 
-  // Pre-port path: the direct DictionaryAttack overload.
+  // Reference: the DictionaryAttack's own canonical poison.
   const DictionaryCurve pre = run_dictionary_curve(
       generator(),
-      core::DictionaryAttack::usenet(generator().lexicons(), 2'000), config);
-  // Ported path: the same attack resolved through the registry.
+      core::DictionaryAttack::usenet(generator().lexicons(), 2'000)
+          .canonical_poison(),
+      config);
+  // The same attack resolved through the registry.
   const DictionaryCurve ported = run_dictionary_curve(
       generator(),
       registry_poison("usenet", {{"dictionary_size", "2000"}}, 1), config);
@@ -238,7 +254,9 @@ TEST(AttackEquivalence, ThresholdCurveThroughRegistry) {
 
   const auto pre = run_threshold_defense_curve(
       generator(),
-      core::DictionaryAttack::usenet(generator().lexicons(), 2'000), config);
+      core::DictionaryAttack::usenet(generator().lexicons(), 2'000)
+          .canonical_poison(),
+      config);
   const auto ported = run_threshold_defense_curve(
       generator(),
       registry_poison("usenet", {{"dictionary_size", "2000"}}, 1), config);
@@ -260,26 +278,29 @@ TEST(AttackEquivalence, ThresholdCurveThroughRegistry) {
 TEST(AttackEquivalence, FocusedKnowledgeThroughRegistry) {
   FocusedConfig config;
   config.inbox_size = 400;
-  config.target_count = 4;
+  config.target_count = 8;
   config.repetitions = 1;
 
-  // The historical entry point (now a registry-resolving wrapper) against
-  // an explicit direct binding — and both at 1 vs 4 threads.
+  struct Expected {
+    double p;
+    std::size_t as_ham, as_unsure, as_spam;
+  };
+  const std::vector<Expected> expected = {
+      {0.2, 6, 2, 0}, {0.3, 0, 8, 0}, {0.5, 0, 1, 7}};
   const core::Attack& attack = core::builtin_attack_registry().get("focused");
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     config.threads = threads;
-    const auto pre = run_focused_knowledge(generator(), {0.1, 0.9}, 20,
-                                           config);
-    const auto ported = run_focused_knowledge(
-        generator(), attack, attack.default_params(), {0.1, 0.9}, 20, config);
-    ASSERT_EQ(ported.size(), pre.size());
-    for (std::size_t i = 0; i < pre.size(); ++i) {
-      EXPECT_EQ(ported[i].guess_probability, pre[i].guess_probability);
-      EXPECT_EQ(ported[i].targets, pre[i].targets);
-      EXPECT_EQ(ported[i].as_ham, pre[i].as_ham);
-      EXPECT_EQ(ported[i].as_unsure, pre[i].as_unsure);
-      EXPECT_EQ(ported[i].as_spam, pre[i].as_spam);
-      EXPECT_EQ(ported[i].control_as_ham, pre[i].control_as_ham);
+    const auto points = run_focused_knowledge(
+        generator(), attack, attack.default_params(), {0.2, 0.3, 0.5}, 20,
+        config);
+    ASSERT_EQ(points.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(points[i].guess_probability, expected[i].p);
+      EXPECT_EQ(points[i].targets, 8u);
+      EXPECT_EQ(points[i].as_ham, expected[i].as_ham);
+      EXPECT_EQ(points[i].as_unsure, expected[i].as_unsure);
+      EXPECT_EQ(points[i].as_spam, expected[i].as_spam);
+      EXPECT_EQ(points[i].control_as_ham, 8u);
     }
   }
 }

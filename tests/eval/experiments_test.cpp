@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include "core/attack_math.h"
+#include "support/registry_attacks.h"
 
 namespace sbx::eval {
 namespace {
+
+using test_support::registry_poison;
 
 const corpus::TrecLikeGenerator& generator() {
   static const corpus::TrecLikeGenerator gen;
@@ -25,10 +28,9 @@ DictionaryCurveConfig small_dictionary_config() {
 }
 
 TEST(DictionaryExperiment, BaselineAccurateAndAttackDegrades) {
-  core::DictionaryAttack attack =
-      core::DictionaryAttack::usenet(generator().lexicons());
-  DictionaryCurve curve = run_dictionary_curve(generator(), attack,
-                                               small_dictionary_config());
+  DictionaryCurve curve =
+      run_dictionary_curve(generator(), registry_poison(generator(), "usenet"),
+                           small_dictionary_config());
   ASSERT_EQ(curve.points.size(), 3u);  // control + 2 fractions
   // Control: the clean filter is accurate on ham; spam has a hard tail
   // (plain-text scams) that lands in unsure at this small training size.
@@ -48,10 +50,9 @@ TEST(DictionaryExperiment, BaselineAccurateAndAttackDegrades) {
 }
 
 TEST(DictionaryExperiment, AttackMessageCountsUseFinalFraction) {
-  core::DictionaryAttack attack =
-      core::DictionaryAttack::aspell(generator().lexicons());
-  DictionaryCurve curve = run_dictionary_curve(generator(), attack,
-                                               small_dictionary_config());
+  DictionaryCurve curve =
+      run_dictionary_curve(generator(), registry_poison(generator(), "aspell"),
+                           small_dictionary_config());
   // train size = 600 -> 1% = 6 messages (6/606 ~ 0.99%).
   EXPECT_EQ(curve.points[1].attack_messages,
             core::attack_message_count(600, 0.01));
@@ -65,13 +66,11 @@ TEST(DictionaryExperiment, UsenetBeatsAspellOnHamCoverage) {
   config.training_set_size = 1'000;
   config.attack_fractions = {0.01};
   DictionaryCurve usenet = run_dictionary_curve(
-      generator(), core::DictionaryAttack::usenet(generator().lexicons()),
-      config);
+      generator(), registry_poison(generator(), "usenet"), config);
   DictionaryCurve aspell = run_dictionary_curve(
-      generator(), core::DictionaryAttack::aspell(generator().lexicons()),
-      config);
+      generator(), registry_poison(generator(), "aspell"), config);
   DictionaryCurve optimal = run_dictionary_curve(
-      generator(), core::DictionaryAttack::optimal(generator()), config);
+      generator(), registry_poison(generator(), "optimal"), config);
   // Figure 1's ordering: optimal >= usenet >= aspell (on the solid lines).
   EXPECT_GE(optimal.points[1].matrix.ham_misclassified_rate() + 0.02,
             usenet.points[1].matrix.ham_misclassified_rate());
@@ -80,8 +79,8 @@ TEST(DictionaryExperiment, UsenetBeatsAspellOnHamCoverage) {
 }
 
 TEST(DictionaryExperiment, DeterministicAndThreadInvariant) {
-  core::DictionaryAttack attack =
-      core::DictionaryAttack::usenet(generator().lexicons(), 25'000);
+  const core::CanonicalPoison attack =
+      registry_poison(generator(), "usenet", {{"dictionary_size", "25000"}});
   DictionaryCurveConfig config = small_dictionary_config();
   config.threads = 1;
   DictionaryCurve serial = run_dictionary_curve(generator(), attack, config);
@@ -101,6 +100,10 @@ TEST(DictionaryExperiment, DeterministicAndThreadInvariant) {
   }
 }
 
+const core::Attack& focused() {
+  return core::builtin_attack_registry().get("focused");
+}
+
 FocusedConfig small_focused_config() {
   FocusedConfig config;
   config.inbox_size = 400;
@@ -111,7 +114,9 @@ FocusedConfig small_focused_config() {
 }
 
 TEST(FocusedExperiment, SuccessGrowsWithKnowledge) {
-  auto points = run_focused_knowledge(generator(), {0.1, 0.5, 0.9}, 30,
+  auto points = run_focused_knowledge(generator(), focused(),
+                                      focused().default_params(),
+                                      {0.1, 0.5, 0.9}, 30,
                                       small_focused_config());
   ASSERT_EQ(points.size(), 3u);
   for (const auto& p : points) {
@@ -129,8 +134,9 @@ TEST(FocusedExperiment, SuccessGrowsWithKnowledge) {
 }
 
 TEST(FocusedExperiment, SizeSweepMonotone) {
-  auto points = run_focused_size(generator(), 0.5, {0.02, 0.05, 0.10},
-                                 small_focused_config());
+  auto points = run_focused_size(generator(), focused(),
+                                 focused().default_params(), 0.5,
+                                 {0.02, 0.05, 0.10}, small_focused_config());
   ASSERT_EQ(points.size(), 3u);
   EXPECT_LE(points[0].as_unsure_or_spam, points[1].as_unsure_or_spam);
   EXPECT_LE(points[1].as_unsure_or_spam, points[2].as_unsure_or_spam);
@@ -144,9 +150,11 @@ TEST(FocusedExperiment, SizeSweepMonotone) {
 }
 
 TEST(FocusedExperiment, Deterministic) {
-  auto a = run_focused_knowledge(generator(), {0.5}, 20,
+  auto a = run_focused_knowledge(generator(), focused(),
+                                 focused().default_params(), {0.5}, 20,
                                  small_focused_config());
-  auto b = run_focused_knowledge(generator(), {0.5}, 20,
+  auto b = run_focused_knowledge(generator(), focused(),
+                                 focused().default_params(), {0.5}, 20,
                                  small_focused_config());
   EXPECT_EQ(a[0].as_ham, b[0].as_ham);
   EXPECT_EQ(a[0].as_unsure, b[0].as_unsure);
@@ -189,14 +197,13 @@ RoniExperimentConfig small_roni_config() {
 }
 
 TEST(RoniExperiment, SeparatesAttacksFromSpam) {
-  core::DictionaryAttack usenet =
-      core::DictionaryAttack::usenet(generator().lexicons());
-  core::DictionaryAttack aspell =
-      core::DictionaryAttack::aspell(generator().lexicons());
-  const std::vector<const core::DictionaryAttack*> attacks = {&usenet,
-                                                              &aspell};
+  std::vector<RoniQuery> queries;
+  for (const char* name : {"usenet", "aspell"}) {
+    core::CanonicalPoison poison = registry_poison(generator(), name);
+    queries.push_back({poison.display_name, std::move(poison.message)});
+  }
   RoniExperimentResult result =
-      run_roni_experiment(generator(), attacks, small_roni_config());
+      run_roni_experiment(generator(), queries, small_roni_config());
 
   EXPECT_EQ(result.nonattack_spam.assessed, 12u);
   EXPECT_EQ(result.nonattack_spam.rejected, 0u);  // no false positives
@@ -218,10 +225,9 @@ ThresholdDefenseConfig small_threshold_config() {
 }
 
 TEST(ThresholdExperiment, DefenseKeepsHamOutOfSpamFolder) {
-  core::DictionaryAttack attack =
-      core::DictionaryAttack::usenet(generator().lexicons());
-  auto points = run_threshold_defense_curve(generator(), attack,
-                                            small_threshold_config());
+  auto points = run_threshold_defense_curve(
+      generator(), registry_poison(generator(), "usenet"),
+      small_threshold_config());
   ASSERT_EQ(points.size(), 2u);  // control + 5%
   const auto& attacked = points[1];
   // Without the defense the attack ruins ham classification.
@@ -238,10 +244,9 @@ TEST(ThresholdExperiment, DefenseKeepsHamOutOfSpamFolder) {
 }
 
 TEST(ThresholdExperiment, ControlPointLeavesAccuracyIntact) {
-  core::DictionaryAttack attack =
-      core::DictionaryAttack::usenet(generator().lexicons());
-  auto points = run_threshold_defense_curve(generator(), attack,
-                                            small_threshold_config());
+  auto points = run_threshold_defense_curve(
+      generator(), registry_poison(generator(), "usenet"),
+      small_threshold_config());
   const auto& control = points[0];
   for (const auto& defended : control.defended) {
     EXPECT_LT(defended.ham_misclassified_rate(), 0.10);

@@ -11,8 +11,9 @@
 #include <thread>
 #include <vector>
 
-#include "core/dictionary_attack.h"
+#include "core/attack_registry.h"
 #include "eval/experiments.h"
+#include "support/registry_attacks.h"
 
 namespace sbx::eval {
 namespace {
@@ -92,8 +93,8 @@ const corpus::TrecLikeGenerator& generator() {
 }
 
 TEST(RunnerDeterminism, DictionaryCurveBitIdenticalAcrossThreadCounts) {
-  core::DictionaryAttack attack =
-      core::DictionaryAttack::usenet(generator().lexicons(), 25'000);
+  const core::CanonicalPoison attack = test_support::registry_poison(
+      generator(), "usenet", {{"dictionary_size", "25000"}});
   DictionaryCurveConfig config;
   config.training_set_size = 400;
   config.folds = 4;
@@ -138,12 +139,13 @@ TEST(RunnerDeterminism, FocusedKnowledgeBitIdenticalAcrossThreadCounts) {
   config.repetitions = 3;
   config.seed = 2009;
 
+  const core::Attack& focused = core::builtin_attack_registry().get("focused");
   config.threads = 1;
-  const auto serial =
-      run_focused_knowledge(generator(), {0.3, 0.7}, 20, config);
+  const auto serial = run_focused_knowledge(
+      generator(), focused, focused.default_params(), {0.3, 0.7}, 20, config);
   config.threads = 4;
-  const auto parallel =
-      run_focused_knowledge(generator(), {0.3, 0.7}, 20, config);
+  const auto parallel = run_focused_knowledge(
+      generator(), focused, focused.default_params(), {0.3, 0.7}, 20, config);
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -163,12 +165,15 @@ TEST(RunnerDeterminism, FocusedSizeBitIdenticalAcrossThreadCounts) {
   config.repetitions = 3;
   config.seed = 2010;
 
+  const core::Attack& focused = core::builtin_attack_registry().get("focused");
   config.threads = 1;
-  const auto serial =
-      run_focused_size(generator(), 0.5, {0.02, 0.08}, config);
+  const auto serial = run_focused_size(generator(), focused,
+                                       focused.default_params(), 0.5,
+                                       {0.02, 0.08}, config);
   config.threads = 4;
-  const auto parallel =
-      run_focused_size(generator(), 0.5, {0.02, 0.08}, config);
+  const auto parallel = run_focused_size(generator(), focused,
+                                         focused.default_params(), 0.5,
+                                         {0.02, 0.08}, config);
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {

@@ -1,5 +1,7 @@
 // ModelShard / UserModel / routing-layer unit tests, including the
-// concurrent classify-during-mutation test the TSan build exercises.
+// concurrent classify-during-mutation test the TSan build exercises. Every
+// mutation goes through ModelShard::apply_mutation, the one path the
+// frontend uses; these shards have no WAL attached.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +10,7 @@
 #include <vector>
 
 #include "serve/shard.h"
+#include "serve/wal.h"
 #include "util/error.h"
 #include "util/sharding.h"
 
@@ -16,6 +19,30 @@ namespace {
 
 spambayes::TokenIdSet ids_for(std::initializer_list<spambayes::TokenId> ids) {
   return spambayes::TokenIdSet(ids);
+}
+
+/// One Train (kWalOpTrain) or Untrain (kWalOpUntrain) without a request
+/// id. With no WAL attached the shard never reads the message text.
+MutationResult mutate(ModelShard& shard, std::size_t local, std::uint8_t op,
+                      const spambayes::TokenIdSet& ids, bool as_spam,
+                      std::uint32_t copies) {
+  MutationRequest req;
+  req.op = op;
+  req.as_spam = as_spam;
+  req.copies = copies;
+  return shard.apply_mutation(local, req, ids);
+}
+
+MutationResult train(ModelShard& shard, std::size_t local,
+                     const spambayes::TokenIdSet& ids, bool as_spam,
+                     std::uint32_t copies) {
+  return mutate(shard, local, kWalOpTrain, ids, as_spam, copies);
+}
+
+MutationResult untrain(ModelShard& shard, std::size_t local,
+                       const spambayes::TokenIdSet& ids, bool as_spam,
+                       std::uint32_t copies) {
+  return mutate(shard, local, kWalOpUntrain, ids, as_spam, copies);
 }
 
 TEST(Sharding, Mix64SpreadsSequentialKeys) {
@@ -39,14 +66,14 @@ TEST(ModelShard, TrainPublishesAndUntrainReverses) {
   ModelShard shard(3);
   EXPECT_EQ(shard.overlay(1), nullptr);
 
-  shard.apply_train(1, ids_for({1, 2, 3}), /*as_spam=*/true, /*copies=*/2);
+  train(shard, 1, ids_for({1, 2, 3}), /*as_spam=*/true, /*copies=*/2);
   const OverlaySnapshot snap = shard.overlay(1);
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->spam_count(), 2u);
   EXPECT_EQ(snap->counts(2).spam, 2u);
   EXPECT_EQ(shard.overlay(0), nullptr);  // neighbors untouched
 
-  shard.apply_untrain(1, ids_for({1, 2, 3}), /*as_spam=*/true, /*copies=*/2);
+  untrain(shard, 1, ids_for({1, 2, 3}), /*as_spam=*/true, /*copies=*/2);
   const OverlaySnapshot after = shard.overlay(1);
   ASSERT_NE(after, nullptr);
   EXPECT_EQ(after->spam_count(), 0u);
@@ -57,22 +84,22 @@ TEST(ModelShard, TrainPublishesAndUntrainReverses) {
 
 TEST(ModelShard, UntrainOfUntrainedUserThrowsAndChangesNothing) {
   ModelShard shard(1);
-  EXPECT_THROW(shard.apply_untrain(0, ids_for({5}), true, 1), Error);
+  EXPECT_THROW(untrain(shard, 0, ids_for({5}), true, 1), Error);
   EXPECT_EQ(shard.overlay(0), nullptr);
 
-  shard.apply_train(0, ids_for({5}), /*as_spam=*/false, 1);
+  train(shard, 0, ids_for({5}), /*as_spam=*/false, 1);
   const OverlaySnapshot published = shard.overlay(0);
   // Reversing a *different* message fails loudly and leaves the published
   // overlay exactly as it was.
-  EXPECT_THROW(shard.apply_untrain(0, ids_for({6}), false, 1), Error);
+  EXPECT_THROW(untrain(shard, 0, ids_for({6}), false, 1), Error);
   EXPECT_EQ(shard.overlay(0), published);
 }
 
 TEST(ModelShard, StatsAggregateUsersAndCounters) {
   ModelShard shard(4);
-  shard.apply_train(0, ids_for({1}), true, 1);
-  shard.apply_train(2, ids_for({2}), false, 1);
-  shard.apply_train(2, ids_for({3}), false, 1);
+  train(shard, 0, ids_for({1}), true, 1);
+  train(shard, 2, ids_for({2}), false, 1);
+  train(shard, 2, ids_for({3}), false, 1);
   shard.record_classified(1, 10);
   const ShardStats s = shard.stats();
   EXPECT_EQ(s.users, 4u);
@@ -85,9 +112,10 @@ TEST(ModelShard, GenerationsStrictlyIncreaseAcrossPublishes) {
   ModelShard shard(1);
   std::uint64_t last = 0;
   for (int i = 0; i < 10; ++i) {
-    shard.apply_train(0, ids_for({static_cast<spambayes::TokenId>(i)}), true,
-                      1);
+    const MutationResult result = train(
+        shard, 0, ids_for({static_cast<spambayes::TokenId>(i)}), true, 1);
     const std::uint64_t gen = shard.overlay(0)->generation();
+    EXPECT_EQ(result.generation, gen);
     EXPECT_GT(gen, last);
     last = gen;
   }
@@ -121,7 +149,7 @@ TEST(ModelShard, ConcurrentSnapshotReadsDuringMutation) {
   for (int w = 0; w < 2; ++w) {
     writers.emplace_back([&, w] {
       for (int i = 0; i < 200; ++i) {
-        shard.apply_train(0, ids_for({1, 2}), /*as_spam=*/w == 0, 1);
+        train(shard, 0, ids_for({1, 2}), /*as_spam=*/w == 0, 1);
       }
     });
   }

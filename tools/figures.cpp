@@ -20,7 +20,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/good_word_attack.h"
+#include "core/attack_registry.h"
 #include "eval/experiment.h"
 #include "eval/registry.h"
 #include "spambayes/classifier.h"
@@ -189,7 +189,11 @@ void good_word_preamble(const std::vector<eval::Config>& configs) {
   std::printf("victim filter trained on %zu messages\n\n",
               uint_of(configs.front(), "inbox_size"));
   std::printf("good-word attack taxonomy: %s\n",
-              core::GoodWordAttack::properties().description().c_str());
+              core::builtin_attack_registry()
+                  .get("good-word")
+                  .properties()
+                  .description()
+                  .c_str());
 }
 
 void retraining_preamble(const std::vector<eval::Config>& configs) {

@@ -42,6 +42,10 @@ import os
 import re
 import sys
 
+# One C++ comment/literal stripper for both tools (this script's directory
+# is on sys.path when it runs as tools/sbx_lockgraph.py).
+from sbx_lint import strip_comments_and_strings
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SOURCE_EXTENSIONS = (".h", ".cpp", ".cc", ".hpp")
@@ -73,73 +77,6 @@ CPP_KEYWORDS = {
     "delete", "throw", "static_cast", "reinterpret_cast", "const_cast",
     "dynamic_cast", "assert", "defined",
 }
-
-
-def strip_comments_and_strings(text):
-    """Blanks comments and string/char literals, preserving offsets and
-    line structure (same approach as sbx_lint)."""
-    out = []
-    i = 0
-    n = len(text)
-    state = "code"
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if state == "code":
-            if c == "/" and nxt == "/":
-                state = "line_comment"
-                out.append("  ")
-                i += 2
-            elif c == "/" and nxt == "*":
-                state = "block_comment"
-                out.append("  ")
-                i += 2
-            elif c == '"':
-                state = "string"
-                out.append(" ")
-                i += 1
-            elif c == "'":
-                # A quote straight after an alphanumeric is a digit
-                # separator (10'000) or part of a suffix, not a char
-                # literal opening.
-                if i > 0 and (text[i - 1].isalnum() or text[i - 1] == "_"):
-                    out.append(" ")
-                    i += 1
-                else:
-                    state = "char"
-                    out.append(" ")
-                    i += 1
-            else:
-                out.append(c)
-                i += 1
-        elif state == "line_comment":
-            if c == "\n":
-                state = "code"
-                out.append(c)
-            else:
-                out.append(" ")
-            i += 1
-        elif state == "block_comment":
-            if c == "*" and nxt == "/":
-                state = "code"
-                out.append("  ")
-                i += 2
-            else:
-                out.append(c if c == "\n" else " ")
-                i += 1
-        else:  # string or char literal
-            quote = '"' if state == "string" else "'"
-            if c == "\\":
-                out.append("  ")
-                i += 2
-            elif c == quote:
-                state = "code"
-                out.append(" ")
-                i += 1
-            else:
-                out.append(c if c == "\n" else " ")
-                i += 1
-    return "".join(out)
 
 
 def line_of(text, offset):
