@@ -880,11 +880,9 @@ class RetrainingExperiment : public ExperimentBase {
         positive_uint(config, "roni_resamples");
     rc.seed = config.get_uint("seed");
 
-    std::uint32_t copies =
-        static_cast<std::uint32_t>(config.get_uint("attack_copies"));
-    if (copies == 0) {
-      copies = static_cast<std::uint32_t>(rc.messages_per_week / 50);
-    }
+    std::uint64_t copies_wanted = config.get_uint("attack_copies");
+    if (copies_wanted == 0) copies_wanted = rc.messages_per_week / 50;
+    const std::uint32_t copies = checked_copies(copies_wanted);
     AttackInjection injection(
         static_cast<std::size_t>(config.get_uint("attack_week")),
         attack_ids, copies);
@@ -1065,10 +1063,9 @@ class GoodWordExperiment : public ExperimentBase {
     const double poison_fraction = config.get_double("poison_fraction");
     core::DictionaryAttack poison =
         core::DictionaryAttack::usenet(generator.lexicons());
-    std::size_t copies =
-        core::attack_message_count(inbox_size, poison_fraction);
-    filter.train_spam_copies(poison.attack_message(),
-                             static_cast<std::uint32_t>(copies));
+    const std::uint32_t copies = checked_copies(
+        core::attack_message_count(inbox_size, poison_fraction));
+    filter.train_spam_copies(poison.attack_message(), copies);
     util::Rng ham_rng(8);
     int ham_lost = 0;
     const int poison_probes =
@@ -1084,7 +1081,8 @@ class GoodWordExperiment : public ExperimentBase {
                    100.0 * ham_lost / poison_probes);
     doc.report.push_back(strf(
         "causative comparison: %zu poison emails (%g%%) -> %.1f%% of",
-        copies, 100.0 * poison_fraction, 100.0 * ham_lost / poison_probes));
+        static_cast<std::size_t>(copies), 100.0 * poison_fraction,
+        100.0 * ham_lost / poison_probes));
     doc.report.push_back(
         "ALL ham misdelivered, zero filter queries needed.");
     return doc;
@@ -1176,6 +1174,11 @@ class HamLabeledExperiment : public ExperimentBase {
     doc.add_metric("roni_impact", assessment.mean_ham_as_ham_decrease);
     doc.add_metric("roni_rejected", assessment.rejected ? 1.0 : 0.0);
 
+    // Every row's count is checked before any row runs, so a count the
+    // model cannot hold fails the run instead of printing a wrapped row.
+    const std::vector<std::uint64_t> copy_counts =
+        config.get_uint_list("copies");
+    for (std::uint64_t copies : copy_counts) checked_copies(copies);
     Table& table = doc.add_table(
         "campaign", {"ham-labeled copies", "% of inbox",
                      "campaign spam->ham %", "campaign spam->unsure %",
@@ -1183,9 +1186,9 @@ class HamLabeledExperiment : public ExperimentBase {
     const int n = static_cast<int>(positive_uint(config, "probes"));
     double last_as_ham_pct = 0.0;
     double last_ham_ok_pct = 0.0;
-    for (std::uint64_t copies : config.get_uint_list("copies")) {
+    for (std::uint64_t copies : copy_counts) {
       spambayes::Filter filter = base;
-      filter.train_ham_ids(attack_ids, static_cast<std::uint32_t>(copies));
+      filter.train_ham_ids(attack_ids, checked_copies(copies));
       util::Rng probe_rng(991);  // identical probes per row
       std::size_t as_ham = 0, as_unsure = 0, ham_ok = 0;
       for (int i = 0; i < n; ++i) {

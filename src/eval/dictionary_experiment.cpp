@@ -107,8 +107,8 @@ DictionaryCurve run_dictionary_curve(const corpus::TrecLikeGenerator& gen,
           const std::size_t want =
               core::attack_message_count(split.train.size(), fractions[pi]);
           if (want > trained_attack) {
-            const auto copies =
-                static_cast<std::uint32_t>(want - trained_attack);
+            const std::uint32_t copies =
+                checked_copies(want) - checked_copies(trained_attack);
             if (train_as_spam) {
               filter.train_spam_ids(attack_ids, copies);
             } else {

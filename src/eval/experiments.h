@@ -253,6 +253,11 @@ std::vector<ThresholdCurvePoint> run_threshold_defense_curve(
 // Shared helpers (exposed for tests).
 // ---------------------------------------------------------------------------
 
+/// `count` poison copies as the uint32 the model's train calls take.
+/// Throws InvalidArgument when the count does not fit, instead of letting
+/// the cast wrap and train (and report) a different number.
+std::uint32_t checked_copies(std::uint64_t count);
+
 /// Trains a filter on the given items of a tokenized dataset.
 void train_on_indices(spambayes::Filter& filter,
                       const corpus::TokenizedDataset& data,

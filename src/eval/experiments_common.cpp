@@ -1,6 +1,19 @@
 #include "eval/experiments.h"
 
+#include <limits>
+#include <string>
+
+#include "util/error.h"
+
 namespace sbx::eval {
+
+std::uint32_t checked_copies(std::uint64_t count) {
+  if (count > std::numeric_limits<std::uint32_t>::max()) {
+    throw InvalidArgument("poison copy count " + std::to_string(count) +
+                          " exceeds the model's 2^32 - 1 message counts");
+  }
+  return static_cast<std::uint32_t>(count);
+}
 
 void train_on_indices(spambayes::Filter& filter,
                       const corpus::TokenizedDataset& data,

@@ -74,8 +74,8 @@ std::vector<ThresholdCurvePoint> run_threshold_defense_curve(
           const std::size_t want =
               core::attack_message_count(split.train.size(), fractions[pi]);
           if (want > trained_attack) {
-            const auto copies =
-                static_cast<std::uint32_t>(want - trained_attack);
+            const std::uint32_t copies =
+                checked_copies(want) - checked_copies(trained_attack);
             if (train_as_spam) {
               filter.train_spam_ids(attack_ids, copies);
             } else {
@@ -91,7 +91,7 @@ std::vector<ThresholdCurvePoint> run_threshold_defense_curve(
           std::vector<core::SpamBatch> batches;
           if (train_as_spam && trained_attack > 0) {
             batches.push_back(
-                {attack_ids, static_cast<std::uint32_t>(trained_attack)});
+                {attack_ids, checked_copies(trained_attack)});
           }
           std::vector<core::ThresholdPair> pairs(n_variants);
           for (std::size_t vi = 0; vi < n_variants; ++vi) {

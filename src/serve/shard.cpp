@@ -87,6 +87,32 @@ void ModelShard::remember_dedup(std::size_t local, DedupEntry entry) {
   while (window.size() > dedup_window_) window.pop_front();
 }
 
+MutationResult ModelShard::replay_dedup_hit(const UserModel& model,
+                                            const DedupEntry& hit) {
+  deduped_.fetch_add(1, std::memory_order_relaxed);
+  const OverlaySnapshot now = model.snapshot();
+  MutationResult replayed{now ? now->generation() : 0, hit.spam, hit.ham,
+                          true};
+  if (durability_ != nullptr) {
+    // The retried original may still sit in an open commit window, so
+    // the replayed ack draws a fresh ticket: awaiting it flushes every
+    // record appended so far, the original included.
+    replayed.commit_ticket = durability_->note_append();
+  }
+  return replayed;
+}
+
+std::optional<MutationResult> ModelShard::screen_train(
+    std::size_t local, const MutationRequest& req) {
+  const UserModel& model = user(local);
+  const util::MutexLock lock(mutation_mutex_);
+  if (const DedupEntry* hit = find_dedup(local, req.request_id)) {
+    return replay_dedup_hit(model, *hit);
+  }
+  model.check_train_total(req.as_spam, req.copies, base_);
+  return std::nullopt;
+}
+
 MutationResult ModelShard::apply_mutation(std::size_t local,
                                           const MutationRequest& req,
                                           const spambayes::TokenIdSet& ids) {
@@ -94,17 +120,7 @@ MutationResult ModelShard::apply_mutation(std::size_t local,
   const util::MutexLock lock(mutation_mutex_);
 
   if (const DedupEntry* hit = find_dedup(local, req.request_id)) {
-    deduped_.fetch_add(1, std::memory_order_relaxed);
-    const OverlaySnapshot now = model.snapshot();
-    MutationResult replayed{now ? now->generation() : 0, hit->spam, hit->ham,
-                            true};
-    if (durability_ != nullptr) {
-      // The retried original may still sit in an open commit window, so
-      // the replayed ack draws a fresh ticket: awaiting it flushes every
-      // record appended so far, the original included.
-      replayed.commit_ticket = durability_->note_append();
-    }
-    return replayed;
+    return replay_dedup_hit(model, *hit);
   }
   if (req.unknown_token) {
     throw InvalidArgument(

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -142,6 +143,15 @@ class ModelShard {
                                 const spambayes::TokenIdSet& ids)
       SBX_EXCLUDES(mutation_mutex_);
 
+  /// Screens a Train before its message is tokenized: a retried request id
+  /// gets its stored result (drawing a fresh commit ticket, exactly as
+  /// apply_mutation's dedup hit does), and a Train whose class total would
+  /// pass UINT32_MAX throws InvalidArgument. nullopt = tokenize and call
+  /// apply_mutation, which repeats both checks under the lock.
+  std::optional<MutationResult> screen_train(std::size_t local,
+                                             const MutationRequest& req)
+      SBX_EXCLUDES(mutation_mutex_);
+
   /// Recovery path: applies a logged mutation without re-logging it (and
   /// without checkpointing), and remembers its request id for post-restart
   /// retry dedup. Throws if the logged mutation no longer applies — a
@@ -184,6 +194,10 @@ class ModelShard {
   const DedupEntry* find_dedup(std::size_t local, std::uint64_t request_id)
       const SBX_REQUIRES(mutation_mutex_);
   void remember_dedup(std::size_t local, DedupEntry entry)
+      SBX_REQUIRES(mutation_mutex_);
+  /// The stored result a dedup hit answers with (caller holds the lock).
+  MutationResult replay_dedup_hit(const UserModel& model,
+                                  const DedupEntry& hit)
       SBX_REQUIRES(mutation_mutex_);
 
   /// Checkpoint when enough records accumulated (caller holds the lock).

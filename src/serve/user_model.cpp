@@ -18,21 +18,7 @@ OverlaySnapshot UserModel::prepare(const spambayes::TokenIdSet& ids,
     throw InvalidArgument(
         "untrain: user has no trained messages (empty overlay)");
   }
-  if (is_train) {
-    // Bound the summed class totals, so the merged model is one a
-    // TokenDatabase could hold (SparseTokenDatabase::add guards the
-    // overlay's counts).
-    const std::uint64_t total =
-        std::uint64_t{as_spam ? base.spam : base.ham} +
-        (current ? (as_spam ? current->spam_count() : current->ham_count())
-                 : 0) +
-        copies;
-    if (total > std::numeric_limits<std::uint32_t>::max()) {
-      throw InvalidArgument(
-          "train: copies would push the user's base + overlay class total "
-          "past 2^32 - 1");
-    }
-  }
+  if (is_train) check_train_total(as_spam, copies, base);
   auto next = current
                   ? std::make_shared<spambayes::SparseTokenDatabase>(*current)
                   : std::make_shared<spambayes::SparseTokenDatabase>();
@@ -53,6 +39,24 @@ OverlaySnapshot UserModel::prepare(const spambayes::TokenIdSet& ids,
     }
   }
   return next;
+}
+
+void UserModel::check_train_total(bool as_spam, std::uint32_t copies,
+                                  const BaseTotals& base) const {
+  // Bound the summed class totals, so the merged model is one a
+  // TokenDatabase could hold (SparseTokenDatabase::add guards the
+  // overlay's counts).
+  const OverlaySnapshot current = snapshot();
+  const std::uint64_t total =
+      std::uint64_t{as_spam ? base.spam : base.ham} +
+      (current ? (as_spam ? current->spam_count() : current->ham_count())
+               : 0) +
+      copies;
+  if (total > std::numeric_limits<std::uint32_t>::max()) {
+    throw InvalidArgument(
+        "train: copies would push the user's base + overlay class total "
+        "past 2^32 - 1");
+  }
 }
 
 void UserModel::publish(OverlaySnapshot next, util::Mutex& mu) {

@@ -85,6 +85,13 @@ class UserModel {
                           const BaseTotals& base, util::Mutex& mu)
       SBX_REQUIRES(mu);
 
+  /// Throws InvalidArgument when training `copies` more messages as
+  /// spam/ham would push base + overlay class total past UINT32_MAX.
+  /// prepare() runs it for every train; the frontend also runs it before
+  /// it tokenizes a Train, so a rejected Train interns nothing.
+  void check_train_total(bool as_spam, std::uint32_t copies,
+                         const BaseTotals& base) const;
+
   /// The publish half: release-stores a prepared overlay and counts the
   /// mutation. Caller holds `mu`, the shard mutation lock.
   void publish(OverlaySnapshot next, util::Mutex& mu) SBX_REQUIRES(mu);

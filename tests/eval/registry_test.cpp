@@ -254,5 +254,49 @@ TEST(RegistryRun, GoodWordProducesEvasionTableAndPoisonComparison) {
   EXPECT_NE(doc.report[0].find("causative comparison:"), std::string::npos);
 }
 
+// A poison copy count the model's uint32 message counts cannot hold
+// throws (the CLI exits 2) instead of wrapping into a different count.
+TEST(RegistryRun, RetrainingRejectsCopiesPastUint32) {
+  const Experiment& experiment = builtin_registry().get("retraining");
+  Config config = experiment.default_config();
+  config.set("weeks", "3");
+  config.set("messages_per_week", "100");
+  config.set("test_messages", "20");
+  config.set("attack_copies", "4294967296");
+  EXPECT_THROW(experiment.run(config, RunContext{}), InvalidArgument);
+}
+
+TEST(RegistryRun, HamLabeledRejectsCopiesPastUint32) {
+  const Experiment& experiment = builtin_registry().get("ham-labeled");
+  Config config = experiment.default_config();
+  config.set("inbox_size", "300");
+  config.set("probes", "10");
+  config.set("copies", "0;4294967296");
+  EXPECT_THROW(experiment.run(config, RunContext{}), InvalidArgument);
+}
+
+TEST(RegistryRun, DictionaryRejectsAttackCountsPastUint32) {
+  const Experiment& experiment = builtin_registry().get("dictionary");
+  Config config = experiment.default_config();
+  config.set("training_set_size", "400");
+  config.set("folds", "2");
+  config.set("attack", "aspell");
+  config.set("dictionary_size", "100");
+  config.set("attack_fractions", "0.99999999");  // 2e10 copies per fold
+  EXPECT_THROW(experiment.run(config, RunContext{}), InvalidArgument);
+}
+
+TEST(RegistryRun, GoodWordRejectsPoisonCopiesPastUint32) {
+  const Experiment& experiment = builtin_registry().get("good-word");
+  Config config = experiment.default_config();
+  config.set("inbox_size", "300");
+  config.set("common_words", "400");
+  config.set("probes", "2");
+  config.set("max_words", "50");
+  config.set("poison_probes", "5");
+  config.set("poison_fraction", "0.99999999");  // 3e10 copies
+  EXPECT_THROW(experiment.run(config, RunContext{}), InvalidArgument);
+}
+
 }  // namespace
 }  // namespace sbx::eval

@@ -280,6 +280,51 @@ TEST(ServeFrontend, RejectedUntrainNeverInterns) {
   EXPECT_EQ(frontend.overlay(3)->spam_count(), 0u);
 }
 
+// A Train interns its tokens, so the frontend screens it before
+// tokenizing. A retried request id is answered from the dedup window, and a
+// Train the class-total guard rejects fails; neither interns a token, even
+// when each such request carries words no model has seen.
+TEST(ServeFrontend, RetriedAndRejectedTrainsNeverIntern) {
+  ServeFrontend frontend(build_base_filter(small_base()), {2, 8});
+  TrainRequest t;
+  t.user_id = 5;
+  t.request_id = 7;
+  t.message = spam_messages(1, 43)[0];
+  const TrainResponse first = frontend.train(t);
+  const OverlaySnapshot trained = frontend.overlay(5);
+  ASSERT_NE(trained, nullptr);
+
+  spambayes::TokenInterner& interner = spambayes::global_interner();
+  const std::size_t vocabulary_before = interner.size();
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    t.message = with_novel_words(spam_messages(1, 43)[0], "rt", 100 * i, 100);
+    const TrainResponse retried = frontend.train(t);
+    EXPECT_EQ(retried.overlay_generation, first.overlay_generation);
+    EXPECT_EQ(retried.overlay_spam, first.overlay_spam);
+    EXPECT_EQ(retried.overlay_ham, first.overlay_ham);
+  }
+  EXPECT_EQ(interner.size(), vocabulary_before);
+  EXPECT_EQ(frontend.overlay(5), trained);
+  EXPECT_EQ(frontend.stats().deduped_mutations, 100u);
+
+  t.copies = std::numeric_limits<std::uint32_t>::max();
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    t.request_id = 1000 + i;
+    t.message = with_novel_words(spam_messages(1, 43)[0], "ct", 100 * i, 100);
+    const Response r = frontend.dispatch(Request(t));
+    ASSERT_TRUE(std::holds_alternative<ErrorResponse>(r));
+  }
+  EXPECT_EQ(interner.size(), vocabulary_before);
+  EXPECT_EQ(frontend.overlay(5), trained);
+
+  // A fresh Train with novel words still interns and applies.
+  t.copies = 1;
+  t.request_id = 2000;
+  frontend.train(t);
+  EXPECT_GT(interner.size(), vocabulary_before);
+  EXPECT_EQ(frontend.overlay(5)->spam_count(), 2u);
+}
+
 // With unknown_word_prob = 0.8 a never-seen token scores 0.8 and is a
 // discriminator, so dropping it would change scores. The frontend then
 // interns, exactly like the interning paths, and stays bit-identical.
