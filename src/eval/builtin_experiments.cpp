@@ -738,24 +738,23 @@ class ThresholdExperiment : public ExperimentBase {
     const corpus::TrecLikeGenerator generator;
     const auto [bound, poison] = resolve_attack(generator, config);
 
-    ThresholdDefenseConfig tc;
-    tc.base.training_set_size =
-        positive_uint(config, "training_set_size");
-    tc.base.spam_fraction = config.get_double("spam_fraction");
-    tc.base.attack_fractions = config.get_double_list("attack_fractions");
-    tc.base.folds = positive_uint(config, "folds");
-    tc.base.seed = config.get_uint("seed");
-    tc.base.threads = ctx.threads;
+    DictionaryCurveConfig dc;
+    dc.training_set_size = positive_uint(config, "training_set_size");
+    dc.spam_fraction = config.get_double("spam_fraction");
+    dc.attack_fractions = config.get_double_list("attack_fractions");
+    dc.folds = positive_uint(config, "folds");
+    dc.seed = config.get_uint("seed");
+    dc.threads = ctx.threads;
     const std::vector<double> targets =
         config.get_double_list("utility_targets");
-    tc.variants.clear();
-    for (double t : targets) tc.variants.push_back({t, 1.0 - t});
+    for (double t : targets) dc.threshold_variants.push_back({t, 1.0 - t});
 
     ctx.note(strf("running threshold defense vs. %s attack, "
                   "%zu-message training set, %zu-fold CV...",
-                  poison.display_name.c_str(), tc.base.training_set_size,
-                  tc.base.folds));
-    const auto points = run_threshold_defense_curve(generator, poison, tc);
+                  poison.display_name.c_str(), dc.training_set_size,
+                  dc.folds));
+    const std::vector<DictionaryCurvePoint> points =
+        run_dictionary_curve(generator, poison, dc).points;
 
     ResultDoc doc = make_doc(config);
     tag_attack(doc, *bound.attack);
@@ -779,9 +778,9 @@ class ThresholdExperiment : public ExperimentBase {
                        Table::cell(100.0 * m.spam_as_unsure_rate(), 1),
                        Table::cell(100.0 * m.spam_as_ham_rate(), 1)});
       };
-      add("No Defense", p.no_defense, 0.15, 0.90);
+      add("No Defense", p.matrix, 0.15, 0.90);
       series[0].x.push_back(100.0 * p.attack_fraction);
-      series[0].y.push_back(100.0 * p.no_defense.ham_misclassified_rate());
+      series[0].y.push_back(100.0 * p.matrix.ham_misclassified_rate());
       for (std::size_t vi = 0; vi < p.defended.size(); ++vi) {
         add(variant_name(targets[vi % targets.size()]), p.defended[vi],
             p.mean_thresholds[vi].theta0, p.mean_thresholds[vi].theta1);
@@ -796,7 +795,7 @@ class ThresholdExperiment : public ExperimentBase {
     if (!points.empty()) {
       const auto& last = points.back();
       doc.add_metric("final_no_defense_ham_misclassified_pct",
-                     100.0 * last.no_defense.ham_misclassified_rate());
+                     100.0 * last.matrix.ham_misclassified_rate());
       if (!last.defended.empty()) {
         doc.add_metric("final_defended_ham_misclassified_pct",
                        100.0 * last.defended[0].ham_misclassified_rate());
@@ -1263,23 +1262,12 @@ class FocusedGuessingExperiment : public ExperimentBase {
     const std::size_t targets = positive_uint(config, "target_count");
     const std::vector<double> probabilities =
         config.get_double_list("guess_probabilities");
-    const bool poison_spam =
-        bound.attack->poison_label() == corpus::TrueLabel::spam;
 
     util::Rng rng(config.get_uint("seed"));
-    corpus::Dataset inbox = generator.sample_mailbox(
-        inbox_size, config.get_double("spam_fraction"), rng);
-    spambayes::Tokenizer tokenizer;
-    spambayes::Filter base;
-    std::vector<const email::Message*> spam_headers;
-    for (const auto& item : inbox.items) {
-      if (item.label == corpus::TrueLabel::spam) {
-        base.train_spam(item.message);
-        spam_headers.push_back(&item.message);
-      } else {
-        base.train_ham(item.message);
-      }
-    }
+    FocusedConfig fc;
+    fc.inbox_size = inbox_size;
+    fc.spam_fraction = config.get_double("spam_fraction");
+    FocusedRun run(generator, fc, rng);
 
     // The headline metrics report the LOWEST listed probability (where the
     // two guess models differ most); the list itself runs in given order.
@@ -1315,19 +1303,17 @@ class FocusedGuessingExperiment : public ExperimentBase {
                                        static_cast<std::uint64_t>(p * 10));
           email::Message target = generator.generate_ham(run_rng);
           const spambayes::TokenSet body_words =
-              core::attackable_body_words(target, tokenizer);
+              core::attackable_body_words(target, run.filter.tokenizer());
           core::CraftContext cctx{generator,    params,      run_rng,
                                   attack_count, &target,     &body_words,
-                                  &spam_headers};
-          spambayes::Filter filter = base;
-          for (const auto& m : bound.attack->craft_poison(cctx)) {
-            if (poison_spam) {
-              filter.train_spam(m);
-            } else {
-              filter.train_ham(m);
-            }
-          }
-          as[static_cast<int>(filter.classify(target).verdict)] += 1;
+                                  &run.spam_headers};
+          const TargetPoison poison = craft_target_poison(
+              *bound.attack, cctx, run.filter.tokenizer());
+          with_poison_trained(
+              run.filter, poison, {poison.count}, [&](std::size_t) {
+                as[static_cast<int>(run.filter.classify(target).verdict)] +=
+                    1;
+              });
         }
         const double n = static_cast<double>(targets);
         table.add_row({fresh ? "per-email (independent)" : "fixed (paper)",

@@ -1,10 +1,12 @@
-// Figure 1 driver: identical-copy Causative attacks under K-fold
+// Figures 1 and 5 driver: identical-copy Causative attacks under K-fold
 // cross-validation. Generic over the core::CanonicalPoison — spam-labeled
 // dictionary poisoning (the paper's §3.2 attacks) runs bit-identically to
 // the historical driver, while ham-labeled poisons (ham-labeled, backdoor)
 // train their copies as ham and, when the poison carries BadNets trigger
 // tokens, every test-fold spam is additionally re-classified with the
-// trigger stamped in.
+// trigger stamped in. The §5.2 dynamic-threshold defense is measured on the
+// same sweep: each listed variant re-derives its cutoffs from the poisoned
+// training fold and re-files the test fold's scores under them.
 #include <algorithm>
 
 #include "core/attack_math.h"
@@ -69,18 +71,35 @@ DictionaryCurve run_dictionary_curve(const corpus::TrecLikeGenerator& gen,
   std::sort(fractions.begin(), fractions.end());
   fractions.insert(fractions.begin(), 0.0);
 
-  std::vector<ConfusionMatrix> per_fraction(fractions.size());
-  std::vector<util::RunningStats> fold_spread(fractions.size());
-  std::vector<ConfusionMatrix> per_fraction_triggered(fractions.size());
+  // Every fold trains at most this many copies; checking it once here makes
+  // the per-fold narrowing below safe.
+  std::size_t max_train = 0;
+  for (const corpus::FoldSplit& split : folds) {
+    max_train = std::max(max_train, split.train.size());
+  }
+  checked_copies(core::attack_message_count(max_train, fractions.back()));
 
+  const std::vector<core::DynamicThresholdConfig>& variants =
+      config.threshold_variants;
+  const std::size_t n_variants = variants.size();
+
+  /// One fold's measurements; the outer index is the fraction.
   struct FoldResult {
     std::vector<ConfusionMatrix> plain;
     std::vector<ConfusionMatrix> triggered;
+    std::vector<std::vector<ConfusionMatrix>> defended;
+    std::vector<std::vector<core::ThresholdPair>> thresholds;
   };
 
+  std::vector<DictionaryCurvePoint> points(fractions.size());
+  for (DictionaryCurvePoint& point : points) {
+    point.defended.resize(n_variants);
+    point.mean_thresholds.assign(n_variants, {0.0, 0.0});  // sums first
+  }
+
   runner.map_reduce(
-      folds.size(), /*salt=*/100,
-      [&](std::size_t f, util::Rng&) {
+      folds.size(), /*salt=*/3000,
+      [&](std::size_t f, util::Rng& rng) {
         const corpus::FoldSplit& split = folds[f];
         spambayes::Filter filter(config.filter);
         train_on_indices(filter, tokenized, split.train);
@@ -103,12 +122,16 @@ DictionaryCurve run_dictionary_curve(const corpus::TrecLikeGenerator& gen,
         FoldResult local;
         local.plain.resize(fractions.size());
         local.triggered.resize(fractions.size());
+        local.defended.assign(fractions.size(),
+                              std::vector<ConfusionMatrix>(n_variants));
+        local.thresholds.assign(fractions.size(),
+                                std::vector<core::ThresholdPair>(n_variants));
         for (std::size_t pi = 0; pi < fractions.size(); ++pi) {
           const std::size_t want =
               core::attack_message_count(split.train.size(), fractions[pi]);
           if (want > trained_attack) {
-            const std::uint32_t copies =
-                checked_copies(want) - checked_copies(trained_attack);
+            const auto copies =
+                static_cast<std::uint32_t>(want - trained_attack);
             if (train_as_spam) {
               filter.train_spam_ids(attack_ids, copies);
             } else {
@@ -116,7 +139,43 @@ DictionaryCurve run_dictionary_curve(const corpus::TrecLikeGenerator& gen,
             }
             trained_attack = want;
           }
-          local.plain[pi] = classify_indices(filter, tokenized, split.test);
+
+          // Dynamic thresholds from a half/half split of the poisoned
+          // training set. Ham-labeled poison is invisible to the
+          // derivation (it never sits in the spam folder the defense
+          // re-scores), so only spam-labeled copies form a batch.
+          std::vector<core::ThresholdPair>& pairs = local.thresholds[pi];
+          if (n_variants > 0) {
+            std::vector<core::SpamBatch> batches;
+            if (train_as_spam && trained_attack > 0) {
+              batches.push_back(
+                  {attack_ids, static_cast<std::uint32_t>(trained_attack)});
+            }
+            for (std::size_t vi = 0; vi < n_variants; ++vi) {
+              util::Rng split_rng = rng.fork(17 * (pi + 1) + vi);
+              pairs[vi] = core::compute_dynamic_thresholds(
+                  tokenized, split.train, batches, config.filter,
+                  variants[vi], split_rng);
+            }
+          }
+
+          // Score the test fold once; every cutoff pair re-files the score.
+          filter.classify_batch(
+              split.test.size(),
+              [&](std::size_t i) -> const spambayes::TokenIdList& {
+                return tokenized.items[split.test[i]].ids;
+              },
+              [&](std::size_t i, const spambayes::BatchScore& scored) {
+                const corpus::TrueLabel label =
+                    tokenized.items[split.test[i]].label;
+                local.plain[pi].add(label, scored.verdict);
+                for (std::size_t vi = 0; vi < n_variants; ++vi) {
+                  local.defended[pi][vi].add(
+                      label, spambayes::Classifier::verdict_for(
+                                 scored.score, pairs[vi].theta0,
+                                 pairs[vi].theta1));
+                }
+              });
           if (has_trigger) {
             filter.classify_batch(
                 stamped.size(),
@@ -133,9 +192,16 @@ DictionaryCurve run_dictionary_curve(const corpus::TrecLikeGenerator& gen,
       },
       [&](std::size_t, FoldResult local) {
         for (std::size_t pi = 0; pi < fractions.size(); ++pi) {
-          per_fraction[pi].merge(local.plain[pi]);
-          fold_spread[pi].add(local.plain[pi].ham_misclassified_rate());
-          per_fraction_triggered[pi].merge(local.triggered[pi]);
+          DictionaryCurvePoint& point = points[pi];
+          point.matrix.merge(local.plain[pi]);
+          point.ham_misclassified_by_fold.add(
+              local.plain[pi].ham_misclassified_rate());
+          point.triggered.merge(local.triggered[pi]);
+          for (std::size_t vi = 0; vi < n_variants; ++vi) {
+            point.defended[vi].merge(local.defended[pi][vi]);
+            point.mean_thresholds[vi].theta0 += local.thresholds[pi][vi].theta0;
+            point.mean_thresholds[vi].theta1 += local.thresholds[pi][vi].theta1;
+          }
         }
       });
 
@@ -145,7 +211,7 @@ DictionaryCurve run_dictionary_curve(const corpus::TrecLikeGenerator& gen,
   curve.has_trigger = has_trigger;
   const std::size_t train_size = folds.front().train.size();
   for (std::size_t pi = 0; pi < fractions.size(); ++pi) {
-    DictionaryCurvePoint point;
+    DictionaryCurvePoint& point = points[pi];
     point.attack_fraction = fractions[pi];
     point.attack_messages =
         core::attack_message_count(train_size, fractions[pi]);
@@ -155,11 +221,12 @@ DictionaryCurve run_dictionary_curve(const corpus::TrecLikeGenerator& gen,
             : static_cast<double>(point.attack_messages *
                                   attack_tokens_per_message) /
                   static_cast<double>(clean_tokens);
-    point.matrix = per_fraction[pi];
-    point.ham_misclassified_by_fold = fold_spread[pi];
-    point.triggered = per_fraction_triggered[pi];
-    curve.points.push_back(std::move(point));
+    for (core::ThresholdPair& mean : point.mean_thresholds) {
+      mean.theta0 /= static_cast<double>(folds.size());
+      mean.theta1 /= static_cast<double>(folds.size());
+    }
   }
+  curve.points = std::move(points);
   return curve;
 }
 

@@ -6,10 +6,22 @@
 // result structs; the figure specs only format them. Tests run the same
 // drivers at reduced scale.
 //
+// One measurement core per attack family:
+//  * run_dictionary_curve is the one K-fold Causative sweep. Figure 1 reads
+//    its undefended matrices; Figure 5 (the §5.2 dynamic-threshold defense)
+//    is a measurement on the same sweep, enabled by listing threshold
+//    variants.
+//  * the focused drivers (Figures 2-4 and the §4.3 guessing ablation) share
+//    one poison harness: per repetition a clean inbox and its filter, and
+//    per target "train the first k poison emails under the attack's label,
+//    measure, untrain exactly".
+//
 // Attacks: a driver names an attack only through the attack registry. The
-// Causative drivers take the core::CanonicalPoison a registry attack
-// crafts (eval::resolve_poison, attack_axis.h); the focused drivers take
-// a core::Attack and its params and call its craft_poison hook.
+// Causative sweep takes the core::CanonicalPoison a registry attack crafts
+// (eval::resolve_poison, attack_axis.h); the focused drivers take a
+// core::Attack and its params. An identical-copy attack (canonical_poison()
+// has a value) is tokenized once and trained as copies on either path;
+// otherwise the focused harness tokenizes each email craft_poison returns.
 //
 // Determinism: every driver forks all randomness from its config seed, and
 // parallelism (folds / repetitions across threads) never changes results.
@@ -20,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -42,7 +55,8 @@ spambayes::TokenIdSet trigger_token_ids(const core::CanonicalPoison& poison,
                                         const spambayes::Tokenizer& tokenizer);
 
 // ---------------------------------------------------------------------------
-// Figure 1: dictionary attacks vs. percent control of the training set.
+// Figures 1 and 5: dictionary attacks vs. percent control of the training
+// set, and the dynamic threshold defense measured on the same sweep.
 // ---------------------------------------------------------------------------
 
 /// Parameters (defaults = Table 1, large configuration: 10,000-message
@@ -58,6 +72,11 @@ struct DictionaryCurveConfig {
   std::uint64_t seed = 20080401;
   spambayes::FilterOptions filter;
   std::size_t threads = 0;  // 0 = hardware concurrency
+  /// Figure 5's dynamic-threshold defense variants, measured on the same
+  /// sweep (paper: Threshold-.05 = (0.05, 0.95) and Threshold-.10 =
+  /// (0.10, 0.90)). Empty for Figure 1, which then costs what it did
+  /// before the defense shared its sweep.
+  std::vector<core::DynamicThresholdConfig> threshold_variants;
 };
 
 /// One point of a Figure-1 curve (fold-aggregated).
@@ -75,6 +94,11 @@ struct DictionaryCurvePoint {
   /// tokens: every test-fold spam message re-classified with the trigger
   /// stamped in (true label spam; "leak" = not filed as spam).
   ConfusionMatrix triggered;
+  /// Figure 5, parallel to config.threshold_variants: the test folds
+  /// re-filed under each variant's dynamic thresholds, and those
+  /// thresholds averaged over folds (`matrix` is the undefended filter).
+  std::vector<ConfusionMatrix> defended;
+  std::vector<core::ThresholdPair> mean_thresholds;
 };
 
 /// A full curve for one attack variant. points[0] is the control (no
@@ -89,7 +113,8 @@ struct DictionaryCurve {
 /// Generic Causative driver: trains `poison.message` copies under
 /// `poison.train_as` at each attack fraction. For a spam-labeled poison
 /// with no trigger this is bit-identical to the historical dictionary
-/// driver.
+/// driver. Throws InvalidArgument when a fold's attack count does not fit
+/// the model's uint32 message counts.
 DictionaryCurve run_dictionary_curve(const corpus::TrecLikeGenerator& gen,
                                      const core::CanonicalPoison& poison,
                                      const DictionaryCurveConfig& config);
@@ -109,6 +134,44 @@ struct FocusedConfig {
   spambayes::FilterOptions filter;
   std::size_t threads = 0;
 };
+
+/// Per-repetition environment of the focused experiments: a fresh clean
+/// inbox sampled from `rng`, the filter trained on it, and the pool of
+/// spam messages whose headers attack emails clone.
+struct FocusedRun {
+  corpus::Dataset inbox;
+  corpus::TokenizedDataset tokenized;
+  spambayes::Filter filter;
+  std::vector<const email::Message*> spam_headers;
+
+  FocusedRun(const corpus::TrecLikeGenerator& gen, const FocusedConfig& config,
+             util::Rng& rng);
+};
+
+/// One target's poison, tokenized: `count` emails trained under `label`.
+/// `emails` holds one id set per crafted email, or for identical-copy
+/// poison the one id set every copy shares.
+struct TargetPoison {
+  std::vector<spambayes::TokenIdSet> emails;
+  std::size_t count = 0;
+  corpus::TrueLabel label = corpus::TrueLabel::spam;
+  std::string first_body;  // the first email's body (Figure 4's guess)
+};
+
+/// Crafts ctx.count poison emails. When attack.canonical_poison() has a
+/// value it is called with ctx.rng (the stream craft_poison() would have
+/// drawn from) and its message is tokenized once; otherwise every email
+/// craft_poison() returns is tokenized.
+TargetPoison craft_target_poison(const core::Attack& attack,
+                                 core::CraftContext& ctx,
+                                 const spambayes::Tokenizer& tokenizer);
+
+/// The focused harness: for each i, trains the first counts[i] poison
+/// emails (ascending; each step trains on top of the last) and calls
+/// measure(i); then untrains exactly what it trained, restoring `filter`.
+void with_poison_trained(spambayes::Filter& filter, const TargetPoison& poison,
+                         const std::vector<std::size_t>& counts,
+                         const std::function<void(std::size_t)>& measure);
 
 /// Figure 2: post-attack verdict distribution of the targets as a function
 /// of the attacker's knowledge p.
@@ -223,31 +286,6 @@ struct RoniQuery {
 RoniExperimentResult run_roni_experiment(const corpus::TrecLikeGenerator& gen,
                                          const std::vector<RoniQuery>& queries,
                                          const RoniExperimentConfig& config);
-
-// ---------------------------------------------------------------------------
-// Figure 5: the dynamic threshold defense vs. the dictionary attack.
-// ---------------------------------------------------------------------------
-
-struct ThresholdDefenseConfig {
-  DictionaryCurveConfig base;
-  /// Defense variants; paper: Threshold-.05 = (0.05, 0.95) and
-  /// Threshold-.10 = (0.10, 0.90).
-  std::vector<core::DynamicThresholdConfig> variants = {{0.05, 0.95},
-                                                        {0.10, 0.90}};
-};
-
-struct ThresholdCurvePoint {
-  double attack_fraction = 0.0;
-  std::size_t attack_messages = 0;
-  ConfusionMatrix no_defense;
-  std::vector<ConfusionMatrix> defended;  // parallel to config.variants
-  /// Fold-averaged selected thresholds, parallel to config.variants.
-  std::vector<core::ThresholdPair> mean_thresholds;
-};
-
-std::vector<ThresholdCurvePoint> run_threshold_defense_curve(
-    const corpus::TrecLikeGenerator& gen, const core::CanonicalPoison& poison,
-    const ThresholdDefenseConfig& config);
 
 // ---------------------------------------------------------------------------
 // Shared helpers (exposed for tests).

@@ -1,8 +1,10 @@
-// Figures 2, 3 and 4 drivers: the focused (targeted) attack. Poison
-// emails come from a core::Attack's craft_poison hook (the CraftContext
-// carries the target and the spam header pool): the knowledge/size curves
-// take any attack, Figure 4 the registry "focused" attack.
+// Figures 2, 3 and 4 drivers and the focused poison harness they share
+// with the §4.3 guessing ablation. Poison comes from a core::Attack (the
+// CraftContext carries the target and the spam header pool): the
+// knowledge/size curves take any attack, Figure 4 the registry "focused"
+// attack. Identical-copy poison is tokenized once and trained as copies.
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
 
 #include "core/attack_math.h"
@@ -16,62 +18,6 @@
 
 namespace sbx::eval {
 namespace {
-
-/// Per-repetition environment shared by the focused-attack experiments:
-/// a fresh clean inbox, the trained base filter, and the pool of spam
-/// messages whose headers attack emails clone.
-struct FocusedRun {
-  corpus::Dataset inbox;
-  corpus::TokenizedDataset tokenized;
-  spambayes::Filter filter;
-  std::vector<const email::Message*> spam_headers;
-
-  FocusedRun(const corpus::TrecLikeGenerator& gen,
-             const FocusedConfig& config, util::Rng& rng)
-      : filter(config.filter) {
-    inbox = gen.sample_mailbox(config.inbox_size, config.spam_fraction, rng);
-    tokenized = corpus::tokenize_dataset(
-        inbox, spambayes::Tokenizer(config.filter.tokenizer));
-    for (std::size_t i = 0; i < inbox.items.size(); ++i) {
-      const auto& item = tokenized.items[i];
-      if (item.label == corpus::TrueLabel::spam) {
-        filter.train_spam_ids(item.ids);
-        spam_headers.push_back(&inbox.items[i].message);
-      } else {
-        filter.train_ham_ids(item.ids);
-      }
-    }
-    if (spam_headers.empty()) {
-      throw InvalidArgument("FocusedRun: inbox contains no spam headers");
-    }
-  }
-};
-
-/// Trains the given attack emails under `label`, runs `body`, then
-/// untrains them exactly, restoring the filter. Returns body's
-/// verdict-relevant result through the callable's side effects.
-template <typename Body>
-void with_attack_trained(spambayes::Filter& filter,
-                         const std::vector<spambayes::TokenIdSet>& attack_ids,
-                         std::size_t count, corpus::TrueLabel label,
-                         Body&& body) {
-  const bool spam = label == corpus::TrueLabel::spam;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (spam) {
-      filter.train_spam_ids(attack_ids[i]);
-    } else {
-      filter.train_ham_ids(attack_ids[i]);
-    }
-  }
-  body();
-  for (std::size_t i = 0; i < count; ++i) {
-    if (spam) {
-      filter.untrain_spam_ids(attack_ids[i]);
-    } else {
-      filter.untrain_ham_ids(attack_ids[i]);
-    }
-  }
-}
 
 /// Per-point attack params: `guess_probability` (when the attack declares
 /// it) overridden with the point's value, round-trip-formatted so the
@@ -89,18 +35,83 @@ std::vector<util::Config> per_point_params(
   return out;
 }
 
-std::vector<spambayes::TokenIdSet> tokenize_attack_emails(
-    const std::vector<email::Message>& emails,
-    const spambayes::Tokenizer& tokenizer) {
-  std::vector<spambayes::TokenIdSet> out;
-  out.reserve(emails.size());
-  for (const auto& m : emails) {
-    out.push_back(tokenizer.tokenize_id_set(m));
+}  // namespace
+
+FocusedRun::FocusedRun(const corpus::TrecLikeGenerator& gen,
+                       const FocusedConfig& config, util::Rng& rng)
+    : filter(config.filter) {
+  inbox = gen.sample_mailbox(config.inbox_size, config.spam_fraction, rng);
+  tokenized = corpus::tokenize_dataset(inbox, filter.tokenizer());
+  for (std::size_t i = 0; i < inbox.items.size(); ++i) {
+    const auto& item = tokenized.items[i];
+    if (item.label == corpus::TrueLabel::spam) {
+      filter.train_spam_ids(item.ids);
+      spam_headers.push_back(&inbox.items[i].message);
+    } else {
+      filter.train_ham_ids(item.ids);
+    }
   }
-  return out;
+  if (spam_headers.empty()) {
+    throw InvalidArgument("FocusedRun: inbox contains no spam headers");
+  }
 }
 
-}  // namespace
+TargetPoison craft_target_poison(const core::Attack& attack,
+                                 core::CraftContext& ctx,
+                                 const spambayes::Tokenizer& tokenizer) {
+  TargetPoison poison;
+  poison.count = ctx.count;
+  poison.label = attack.poison_label();
+  // canonical_poison() draws from ctx.rng exactly as the default
+  // craft_poison() would before copying its message.
+  if (const std::optional<core::CanonicalPoison> canonical =
+          attack.canonical_poison(ctx.generator, ctx.params, ctx.rng)) {
+    poison.emails.push_back(tokenizer.tokenize_id_set(canonical->message));
+    poison.first_body = canonical->message.body();
+    return poison;
+  }
+  const std::vector<email::Message> emails = attack.craft_poison(ctx);
+  poison.count = emails.size();
+  poison.emails.reserve(emails.size());
+  for (const email::Message& m : emails) {
+    poison.emails.push_back(tokenizer.tokenize_id_set(m));
+  }
+  if (!emails.empty()) poison.first_body = emails.front().body();
+  return poison;
+}
+
+void with_poison_trained(spambayes::Filter& filter, const TargetPoison& poison,
+                         const std::vector<std::size_t>& counts,
+                         const std::function<void(std::size_t)>& measure) {
+  const bool spam = poison.label == corpus::TrueLabel::spam;
+  // Trains (or untrains) poison emails [from, to).
+  const auto apply = [&](std::size_t from, std::size_t to, bool train) {
+    if (from >= to) return;
+    const auto one = [&](const spambayes::TokenIdSet& ids,
+                         std::uint32_t copies) {
+      if (train) {
+        spam ? filter.train_spam_ids(ids, copies)
+             : filter.train_ham_ids(ids, copies);
+      } else {
+        spam ? filter.untrain_spam_ids(ids, copies)
+             : filter.untrain_ham_ids(ids, copies);
+      }
+    };
+    if (poison.emails.size() == 1) {
+      one(poison.emails.front(), checked_copies(to - from));
+    } else {
+      for (std::size_t i = from; i < to; ++i) one(poison.emails[i], 1);
+    }
+  };
+  std::size_t trained = 0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const std::size_t want = std::min(counts[i], poison.count);
+    apply(trained, want, /*train=*/true);
+    trained = std::max(trained, want);
+    measure(i);
+  }
+  apply(0, trained, /*train=*/false);
+}
 
 std::vector<FocusedKnowledgePoint> run_focused_knowledge(
     const corpus::TrecLikeGenerator& gen, const core::Attack& attack,
@@ -110,7 +121,6 @@ std::vector<FocusedKnowledgePoint> run_focused_knowledge(
   Runner runner(config.seed, config.threads);
   const std::vector<util::Config> point_params =
       per_point_params(attack_params, guess_probabilities);
-  const corpus::TrueLabel poison_label = attack.poison_label();
 
   std::vector<FocusedKnowledgePoint> points(guess_probabilities.size());
   for (std::size_t pi = 0; pi < guess_probabilities.size(); ++pi) {
@@ -123,7 +133,7 @@ std::vector<FocusedKnowledgePoint> run_focused_knowledge(
       config.repetitions, /*salt=*/1000,
       [&](std::size_t, util::Rng& rng) {
         FocusedRun run(gen, config, rng);
-        const spambayes::Tokenizer tokenizer(config.filter.tokenizer);
+        const spambayes::Tokenizer& tokenizer = run.filter.tokenizer();
 
         std::vector<FocusedKnowledgePoint> local(points.size());
         for (std::size_t t = 0; t < config.target_count; ++t) {
@@ -143,12 +153,12 @@ std::vector<FocusedKnowledgePoint> run_focused_knowledge(
                                    attack_rng, attack_count,
                                    &target, &body_words,
                                    &run.spam_headers};
-            const auto attack_ids =
-                tokenize_attack_emails(attack.craft_poison(ctx), tokenizer);
+            const TargetPoison poison =
+                craft_target_poison(attack, ctx, tokenizer);
 
             spambayes::Verdict verdict = spambayes::Verdict::unsure;
-            with_attack_trained(run.filter, attack_ids, attack_ids.size(),
-                                poison_label, [&] {
+            with_poison_trained(run.filter, poison, {poison.count},
+                                [&](std::size_t) {
                                   verdict = run.filter
                                                 .classify_ids(target_ids)
                                                 .verdict;
@@ -190,11 +200,13 @@ std::vector<FocusedSizePoint> run_focused_size(
   Runner runner(config.seed, config.threads);
   const std::vector<util::Config> point_params =
       per_point_params(attack_params, {guess_probability});
-  const corpus::TrueLabel poison_label = attack.poison_label();
-  const bool poison_spam = poison_label == corpus::TrueLabel::spam;
 
   std::vector<double> fractions = attack_fractions;
   std::sort(fractions.begin(), fractions.end());
+  std::vector<std::size_t> counts;
+  for (double fraction : fractions) {
+    counts.push_back(core::attack_message_count(config.inbox_size, fraction));
+  }
 
   std::vector<FocusedSizePoint> points(fractions.size());
 
@@ -202,9 +214,7 @@ std::vector<FocusedSizePoint> run_focused_size(
       config.repetitions, /*salt=*/2000,
       [&](std::size_t, util::Rng& rng) {
         FocusedRun run(gen, config, rng);
-        const spambayes::Tokenizer tokenizer(config.filter.tokenizer);
-        const std::size_t max_messages = core::attack_message_count(
-            config.inbox_size, fractions.back());
+        const spambayes::Tokenizer& tokenizer = run.filter.tokenizer();
 
         std::vector<FocusedSizePoint> local(fractions.size());
         for (std::size_t t = 0; t < config.target_count; ++t) {
@@ -216,39 +226,23 @@ std::vector<FocusedSizePoint> run_focused_size(
 
           util::Rng attack_rng = rng.fork(104729 * (t + 1));
           core::CraftContext ctx{gen,     point_params.front(),
-                                 attack_rng, max_messages,
+                                 attack_rng, counts.back(),
                                  &target, &body_words,
                                  &run.spam_headers};
-          const auto attack_ids =
-              tokenize_attack_emails(attack.craft_poison(ctx), tokenizer);
+          const TargetPoison poison =
+              craft_target_poison(attack, ctx, tokenizer);
 
-          // Ascending sweep: train incrementally, then untrain everything.
-          std::size_t trained = 0;
-          for (std::size_t pi = 0; pi < fractions.size(); ++pi) {
-            const std::size_t want = core::attack_message_count(
-                config.inbox_size, fractions[pi]);
-            for (; trained < want; ++trained) {
-              if (poison_spam) {
-                run.filter.train_spam_ids(attack_ids[trained]);
-              } else {
-                run.filter.train_ham_ids(attack_ids[trained]);
-              }
-            }
-            spambayes::Verdict verdict =
-                run.filter.classify_ids(target_ids).verdict;
-            FocusedSizePoint& p = local[pi];
-            p.targets += 1;
-            p.as_spam += verdict == spambayes::Verdict::spam ? 1 : 0;
-            p.as_unsure_or_spam +=
-                verdict != spambayes::Verdict::ham ? 1 : 0;
-          }
-          for (std::size_t i = 0; i < trained; ++i) {
-            if (poison_spam) {
-              run.filter.untrain_spam_ids(attack_ids[i]);
-            } else {
-              run.filter.untrain_ham_ids(attack_ids[i]);
-            }
-          }
+          // Ascending sweep: each point trains on top of the last.
+          with_poison_trained(
+              run.filter, poison, counts, [&](std::size_t pi) {
+                const spambayes::Verdict verdict =
+                    run.filter.classify_ids(target_ids).verdict;
+                FocusedSizePoint& p = local[pi];
+                p.targets += 1;
+                p.as_spam += verdict == spambayes::Verdict::spam ? 1 : 0;
+                p.as_unsure_or_spam +=
+                    verdict != spambayes::Verdict::ham ? 1 : 0;
+              });
         }
         return local;
       },
@@ -262,8 +256,7 @@ std::vector<FocusedSizePoint> run_focused_size(
 
   for (std::size_t pi = 0; pi < fractions.size(); ++pi) {
     points[pi].attack_fraction = fractions[pi];
-    points[pi].attack_messages =
-        core::attack_message_count(config.inbox_size, fractions[pi]);
+    points[pi].attack_messages = counts[pi];
   }
   return points;
 }
@@ -277,7 +270,7 @@ std::vector<TokenShiftExample> run_token_shift(
   params.set("guess_probability", round_trip_string(guess_probability));
   util::Rng rng(config.seed);
   FocusedRun run(gen, config, rng);
-  const spambayes::Tokenizer tokenizer(config.filter.tokenizer);
+  const spambayes::Tokenizer& tokenizer = run.filter.tokenizer();
   const spambayes::Classifier& classifier = run.filter.classifier();
 
   bool have_spam = false;
@@ -298,8 +291,7 @@ std::vector<TokenShiftExample> run_token_shift(
     core::CraftContext ctx{gen,        params,      attack_rng,
                            attack_count, &target,   &body_words,
                            &run.spam_headers};
-    const std::vector<email::Message> attack_emails =
-        attack.craft_poison(ctx);
+    const TargetPoison poison = craft_target_poison(attack, ctx, tokenizer);
 
     // Token scores before. Shift points are reported in spelling order
     // (the order the string path produced).
@@ -319,32 +311,23 @@ std::vector<TokenShiftExample> run_token_shift(
       shift.push_back(std::move(p));
     }
 
-    const std::vector<spambayes::TokenIdSet> attack_ids =
-        tokenize_attack_emails(attack_emails, tokenizer);
     // Every email carries the one fixed guess set as its body, one word
     // per whitespace-separated field, so the first body is the guess.
     std::unordered_set<std::string> guessed;
-    if (!attack_emails.empty()) {
-      for (const auto& word : util::split_whitespace(
-               attack_emails.front().body())) {
-        guessed.insert(word);
-      }
+    for (const auto& word : util::split_whitespace(poison.first_body)) {
+      guessed.insert(word);
     }
 
-    for (const auto& ids : attack_ids) {
-      run.filter.train_spam_ids(ids);
-    }
-    const spambayes::ScoreIdResult after =
-        run.filter.classify_ids(target_ids);
-    for (std::size_t i = 0; i < shift.size(); ++i) {
-      TokenShiftPoint& p = shift[i];
-      p.score_after =
-          classifier.token_score(run.filter.database(), report_ids[i]);
-      p.in_attack = guessed.count(p.token) != 0;
-    }
-    for (const auto& ids : attack_ids) {
-      run.filter.untrain_spam_ids(ids);
-    }
+    spambayes::ScoreIdResult after;
+    with_poison_trained(run.filter, poison, {poison.count}, [&](std::size_t) {
+      after = run.filter.classify_ids(target_ids);
+      for (std::size_t i = 0; i < shift.size(); ++i) {
+        TokenShiftPoint& p = shift[i];
+        p.score_after =
+            classifier.token_score(run.filter.database(), report_ids[i]);
+        p.in_attack = guessed.count(p.token) != 0;
+      }
+    });
 
     bool* flag = nullptr;
     switch (after.verdict) {

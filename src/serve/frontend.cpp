@@ -1,10 +1,10 @@
 #include "serve/frontend.h"
 
 #include <algorithm>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "email/rfc2822.h"
 #include "serve/replication.h"
@@ -136,39 +136,32 @@ MutationResult ServeFrontend::apply(std::uint8_t op, std::uint64_t user_id,
     throw InvalidArgument("serve: mutation copies must be greater than 0");
   }
   const RouteEntry at = route_checked(user_id);
-  ModelShard& shard = *shards_[at.shard];
+  // Both ops only look tokens up, so a retried or rejected mutation
+  // interns nothing. An untrain holding a never-interned token (count 0
+  // everywhere) is rejected by the shard after its dedup lookup, before
+  // the WAL sees it; a train's never-interned spellings are interned by
+  // the shard once the train is known to apply.
+  const email::Message parsed = email::parse_message(message);
+  std::vector<std::string> novel;
+  const spambayes::TokenIdSet ids = base_.tokenizer().tokenize_id_set(
+      parsed, spambayes::IdMode::kLookupOnly, nullptr, &novel);
   MutationRequest req;
+  req.unknown_token = op != kWalOpTrain && !novel.empty();
+  if (op != kWalOpTrain) novel.clear();
   req.op = op;
   req.user_id = user_id;
   req.request_id = request_id;
   req.as_spam = as_spam;
   req.copies = copies;
   req.message = &message;
-  // A Train interns its tokens, so the shard screens it first: a retry is
-  // answered from the dedup window and a Train past the class-total guard
-  // is rejected, both before the message is tokenized.
-  std::optional<MutationResult> result;
-  if (op == kWalOpTrain) result = shard.screen_train(at.local, req);
-  if (!result) {
-    // Untrain only looks tokens up, so a rejected untrain interns nothing.
-    // One holding a never-interned token (count 0 everywhere) is rejected
-    // by the shard after its dedup lookup, before the WAL sees it.
-    const email::Message parsed = email::parse_message(message);
-    const spambayes::TokenIdSet ids =
-        op == kWalOpTrain ? base_.message_token_ids(parsed)
-                          : base_.tokenizer().tokenize_id_set(
-                                parsed, spambayes::IdMode::kLookupOnly,
-                                nullptr, &req.unknown_token);
-    result = shard.apply_mutation(at.local, req, ids);
-  }
+  const MutationResult result =
+      shards_[at.shard]->apply_mutation(at.local, req, ids, novel);
   // Both waits run after the shard lock is released: group commit and
   // quorum acks gate THIS request's response, never another user's
   // mutation throughput.
-  if (durability_ != nullptr) {
-    durability_->await_durable(result->commit_ticket);
-  }
-  if (replicator_ != nullptr) replicator_->wait_acked(result->repl_ticket);
-  return *result;
+  if (durability_ != nullptr) durability_->await_durable(result.commit_ticket);
+  if (replicator_ != nullptr) replicator_->wait_acked(result.repl_ticket);
+  return result;
 }
 
 TrainResponse ServeFrontend::train(const TrainRequest& request) {

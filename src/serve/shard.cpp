@@ -87,40 +87,24 @@ void ModelShard::remember_dedup(std::size_t local, DedupEntry entry) {
   while (window.size() > dedup_window_) window.pop_front();
 }
 
-MutationResult ModelShard::replay_dedup_hit(const UserModel& model,
-                                            const DedupEntry& hit) {
-  deduped_.fetch_add(1, std::memory_order_relaxed);
-  const OverlaySnapshot now = model.snapshot();
-  MutationResult replayed{now ? now->generation() : 0, hit.spam, hit.ham,
-                          true};
-  if (durability_ != nullptr) {
-    // The retried original may still sit in an open commit window, so
-    // the replayed ack draws a fresh ticket: awaiting it flushes every
-    // record appended so far, the original included.
-    replayed.commit_ticket = durability_->note_append();
-  }
-  return replayed;
-}
-
-std::optional<MutationResult> ModelShard::screen_train(
-    std::size_t local, const MutationRequest& req) {
-  const UserModel& model = user(local);
-  const util::MutexLock lock(mutation_mutex_);
-  if (const DedupEntry* hit = find_dedup(local, req.request_id)) {
-    return replay_dedup_hit(model, *hit);
-  }
-  model.check_train_total(req.as_spam, req.copies, base_);
-  return std::nullopt;
-}
-
-MutationResult ModelShard::apply_mutation(std::size_t local,
-                                          const MutationRequest& req,
-                                          const spambayes::TokenIdSet& ids) {
+MutationResult ModelShard::apply_mutation(
+    std::size_t local, const MutationRequest& req,
+    const spambayes::TokenIdSet& ids, const std::vector<std::string>& novel) {
   UserModel& model = user(local);
   const util::MutexLock lock(mutation_mutex_);
 
   if (const DedupEntry* hit = find_dedup(local, req.request_id)) {
-    return replay_dedup_hit(model, *hit);
+    deduped_.fetch_add(1, std::memory_order_relaxed);
+    const OverlaySnapshot now = model.snapshot();
+    MutationResult replayed{now ? now->generation() : 0, hit->spam, hit->ham,
+                            true};
+    if (durability_ != nullptr) {
+      // The retried original may still sit in an open commit window, so
+      // the replayed ack draws a fresh ticket: awaiting it flushes every
+      // record appended so far, the original included.
+      replayed.commit_ticket = durability_->note_append();
+    }
+    return replayed;
   }
   if (req.unknown_token) {
     throw InvalidArgument(
@@ -130,7 +114,7 @@ MutationResult ModelShard::apply_mutation(std::size_t local,
   // Prepare first: a mutation that cannot apply (bad untrain, or a train
   // that would wrap a uint32 class total) must fail before anything
   // reaches the log.
-  OverlaySnapshot next = model.prepare(ids, req.as_spam, req.copies,
+  OverlaySnapshot next = model.prepare(ids, novel, req.as_spam, req.copies,
                                        req.op == kWalOpTrain, base_,
                                        mutation_mutex_);
 
@@ -174,7 +158,8 @@ ReplicatedApplyResult ModelShard::apply_replicated(
   const util::MutexLock lock(mutation_mutex_);
   if (record.seqno <= last_seqno_) return {};  // resend of an applied record
 
-  OverlaySnapshot next = model.prepare(ids, record.as_spam, record.copies,
+  OverlaySnapshot next = model.prepare(ids, {}, record.as_spam,
+                                       record.copies,
                                        record.op == kWalOpTrain, base_,
                                        mutation_mutex_);
   ReplicatedApplyResult result;
@@ -205,7 +190,7 @@ MutationResult ModelShard::replay_mutation(std::size_t local,
                                            const spambayes::TokenIdSet& ids) {
   UserModel& model = user(local);
   const util::MutexLock lock(mutation_mutex_);
-  OverlaySnapshot next = model.prepare(ids, req.as_spam, req.copies,
+  OverlaySnapshot next = model.prepare(ids, {}, req.as_spam, req.copies,
                                        req.op == kWalOpTrain, base_,
                                        mutation_mutex_);
   const MutationResult result{next->generation(), next->spam_count(),

@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -139,17 +138,12 @@ class ModelShard {
   /// InvalidArgument for a bad mutation (untrain of an untrained message,
   /// or a train whose class total would pass UINT32_MAX; nothing is logged
   /// or published) and IoError when the WAL cannot be written (ditto).
+  /// A train's `novel` spellings, those its lookup-only tokenization did
+  /// not find, are interned only once the train passes dedup and every
+  /// check, so a retried or rejected train grows no global state.
   MutationResult apply_mutation(std::size_t local, const MutationRequest& req,
-                                const spambayes::TokenIdSet& ids)
-      SBX_EXCLUDES(mutation_mutex_);
-
-  /// Screens a Train before its message is tokenized: a retried request id
-  /// gets its stored result (drawing a fresh commit ticket, exactly as
-  /// apply_mutation's dedup hit does), and a Train whose class total would
-  /// pass UINT32_MAX throws InvalidArgument. nullopt = tokenize and call
-  /// apply_mutation, which repeats both checks under the lock.
-  std::optional<MutationResult> screen_train(std::size_t local,
-                                             const MutationRequest& req)
+                                const spambayes::TokenIdSet& ids,
+                                const std::vector<std::string>& novel = {})
       SBX_EXCLUDES(mutation_mutex_);
 
   /// Recovery path: applies a logged mutation without re-logging it (and
@@ -194,10 +188,6 @@ class ModelShard {
   const DedupEntry* find_dedup(std::size_t local, std::uint64_t request_id)
       const SBX_REQUIRES(mutation_mutex_);
   void remember_dedup(std::size_t local, DedupEntry entry)
-      SBX_REQUIRES(mutation_mutex_);
-  /// The stored result a dedup hit answers with (caller holds the lock).
-  MutationResult replay_dedup_hit(const UserModel& model,
-                                  const DedupEntry& hit)
       SBX_REQUIRES(mutation_mutex_);
 
   /// Checkpoint when enough records accumulated (caller holds the lock).

@@ -33,6 +33,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "spambayes/interner.h"
 #include "spambayes/sparse_token_db.h"
@@ -79,18 +81,15 @@ class UserModel {
   /// the shard write-ahead-log the mutation in between — a prepare failure
   /// (bad untrain, or a train whose class total would pass UINT32_MAX
   /// once summed with `base`) leaves both the log and the published
-  /// overlay untouched. Caller holds `mu`, the shard mutation lock.
-  OverlaySnapshot prepare(const spambayes::TokenIdSet& ids, bool as_spam,
-                          std::uint32_t copies, bool is_train,
+  /// overlay untouched. A train's `novel` spellings (those a lookup-only
+  /// tokenization did not find) are interned and trained with `ids`, but
+  /// only after every check has passed, so a rejected train interns
+  /// nothing. Caller holds `mu`, the shard mutation lock.
+  OverlaySnapshot prepare(const spambayes::TokenIdSet& ids,
+                          const std::vector<std::string>& novel,
+                          bool as_spam, std::uint32_t copies, bool is_train,
                           const BaseTotals& base, util::Mutex& mu)
       SBX_REQUIRES(mu);
-
-  /// Throws InvalidArgument when training `copies` more messages as
-  /// spam/ham would push base + overlay class total past UINT32_MAX.
-  /// prepare() runs it for every train; the frontend also runs it before
-  /// it tokenizes a Train, so a rejected Train interns nothing.
-  void check_train_total(bool as_spam, std::uint32_t copies,
-                         const BaseTotals& base) const;
 
   /// The publish half: release-stores a prepared overlay and counts the
   /// mutation. Caller holds `mu`, the shard mutation lock.

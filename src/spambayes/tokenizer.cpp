@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <utility>
 
 #include "email/mime.h"
 #include "util/strings.h"
@@ -181,9 +182,9 @@ struct SeenSink {
 /// those lines a few spellings ahead (TokenInterner::prefetch) overlaps
 /// the misses instead of paying them one after another. A non-null
 /// `emitted` receives the pass's raw token count, a non-null `dropped`
-/// whether kLookupOnly dropped a spelling.
+/// the spellings kLookupOnly dropped.
 TokenIdSet resolve(const SeenSpellings& seen, IdMode mode,
-                   std::size_t* emitted, bool* dropped) {
+                   std::size_t* emitted, std::vector<std::string>* dropped) {
   if (emitted != nullptr) *emitted = seen.emitted();
   constexpr std::size_t kAhead[] = {12, 6, 3};  // per prefetch level
   TokenInterner& interner = global_interner();
@@ -202,9 +203,10 @@ TokenIdSet resolve(const SeenSpellings& seen, IdMode mode,
       out.push_back(interner.intern(token, hash));
     } else if (const auto id = interner.find(token, hash)) {
       out.push_back(*id);
+    } else if (dropped != nullptr) {
+      dropped->emplace_back(token);
     }
   }
-  if (dropped != nullptr) *dropped = out.size() < entries.size();
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -419,7 +421,7 @@ TokenIdList Tokenizer::tokenize_text_ids(std::string_view text) const {
 
 TokenIdSet Tokenizer::tokenize_id_set(const email::Message& msg, IdMode mode,
                                       std::size_t* emitted,
-                                      bool* dropped) const {
+                                      std::vector<std::string>* dropped) const {
   SeenSpellings& seen = seen_for_current_thread();
   Emitter<SeenSink>(opts_, SeenSink{&seen}).message(msg);
   return resolve(seen, mode, emitted, dropped);
@@ -444,6 +446,15 @@ TokenIdSet unique_token_ids(TokenIdList ids) {
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   return ids;
+}
+
+void intern_dropped(const std::vector<std::string_view>& spellings,
+                    TokenIdSet& ids) {
+  TokenInterner& interner = global_interner();
+  for (std::string_view spelling : spellings) {
+    ids.push_back(interner.intern(spelling));
+  }
+  ids = unique_token_ids(std::move(ids));
 }
 
 }  // namespace sbx::spambayes

@@ -37,10 +37,11 @@
 //    IdMode::kLookupOnly only looks tokens up and drops those the interner
 //    has never seen, so it never grows process-global state. That is the
 //    serving layer's classify path (Filter::classify_token_ids() decides
-//    when dropping them leaves the score unchanged) and its Untrain path,
-//    which asks the pass whether it dropped one: a never-interned token
+//    when dropping them leaves the score unchanged), its Untrain path,
+//    which asks the pass whether it dropped one (a never-interned token
 //    has count 0 everywhere, so such an untrain must fail unless it is
-//    the retry of one already applied.
+//    the retry of one already applied), and its Train path, which interns
+//    the dropped spellings only once the Train is known to apply.
 //
 // Byte classes (whitespace, alphanumerics, word characters) and
 // lower-casing are the C locale's, read from inline 256-entry tables:
@@ -94,11 +95,12 @@ class Tokenizer {
   /// that set restricted to already-interned tokens under kLookupOnly.
   /// A non-null `emitted` receives tokenize(msg).size(), the raw token
   /// count with duplicates (in either mode), and a non-null `dropped`
-  /// whether kLookupOnly dropped any spelling, both from the same pass.
+  /// the distinct spellings kLookupOnly dropped, both from the same pass
+  /// (a caller can intern those later, once it decides to keep them).
   TokenIdSet tokenize_id_set(const email::Message& msg,
                              IdMode mode = IdMode::kIntern,
                              std::size_t* emitted = nullptr,
-                             bool* dropped = nullptr) const;
+                             std::vector<std::string>* dropped = nullptr) const;
   TokenIdSet tokenize_text_id_set(std::string_view text,
                                   IdMode mode = IdMode::kIntern,
                                   std::size_t* emitted = nullptr) const;
@@ -118,6 +120,14 @@ TokenSet unique_tokens(const TokenList& tokens);
 /// injective). For merging id sets; a single message's set comes from
 /// Tokenizer::tokenize_id_set().
 TokenIdSet unique_token_ids(TokenIdList ids);
+
+/// The deferred half of an interning pass: interns `spellings` (ones a
+/// kLookupOnly tokenize_id_set() pass dropped) and adds their ids to
+/// `ids`, leaving it a deduplicated, ascending set. For a caller that
+/// interns a message's new tokens only once it keeps the message (the
+/// serving layer's Train).
+void intern_dropped(const std::vector<std::string_view>& spellings,
+                    TokenIdSet& ids);
 
 /// Strips non-word characters (anything outside the tokenizer's word-char
 /// set: alnum, ', -, $, !) from both ends of `word` — the normalization

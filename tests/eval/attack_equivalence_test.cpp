@@ -246,24 +246,28 @@ TEST(AttackEquivalence, DictionaryCurveThroughRegistry) {
 }
 
 TEST(AttackEquivalence, ThresholdCurveThroughRegistry) {
-  ThresholdDefenseConfig config;
-  config.base.training_set_size = 400;
-  config.base.folds = 2;
-  config.base.attack_fractions = {0.02};
-  config.variants = {{0.1, 0.9}};
+  DictionaryCurveConfig config;
+  config.training_set_size = 400;
+  config.folds = 2;
+  config.attack_fractions = {0.02};
+  config.threshold_variants = {{0.1, 0.9}};
 
-  const auto pre = run_threshold_defense_curve(
-      generator(),
-      core::DictionaryAttack::usenet(generator().lexicons(), 2'000)
-          .canonical_poison(),
-      config);
-  const auto ported = run_threshold_defense_curve(
-      generator(),
-      registry_poison("usenet", {{"dictionary_size", "2000"}}, 1), config);
+  const auto pre = run_dictionary_curve(
+                       generator(),
+                       core::DictionaryAttack::usenet(generator().lexicons(),
+                                                      2'000)
+                           .canonical_poison(),
+                       config)
+                       .points;
+  const auto ported =
+      run_dictionary_curve(
+          generator(),
+          registry_poison("usenet", {{"dictionary_size", "2000"}}, 1), config)
+          .points;
 
   ASSERT_EQ(ported.size(), pre.size());
   for (std::size_t i = 0; i < pre.size(); ++i) {
-    expect_same_matrix(ported[i].no_defense, pre[i].no_defense);
+    expect_same_matrix(ported[i].matrix, pre[i].matrix);
     ASSERT_EQ(ported[i].defended.size(), pre[i].defended.size());
     for (std::size_t vi = 0; vi < pre[i].defended.size(); ++vi) {
       expect_same_matrix(ported[i].defended[vi], pre[i].defended[vi]);
@@ -301,6 +305,54 @@ TEST(AttackEquivalence, FocusedKnowledgeThroughRegistry) {
       EXPECT_EQ(points[i].as_unsure, expected[i].as_unsure);
       EXPECT_EQ(points[i].as_spam, expected[i].as_spam);
       EXPECT_EQ(points[i].control_as_ham, 8u);
+    }
+  }
+}
+
+// Identical-copy poison on the focused axis is tokenized once and trained
+// as copies. Its counts are pinned to the values that tokenizing and
+// training every crafted email one by one produced at these seeds.
+TEST(AttackEquivalence, FocusedIdenticalCopyAttacksPinned) {
+  FocusedConfig config;
+  config.inbox_size = 400;
+  config.target_count = 6;
+  config.repetitions = 2;
+
+  struct Expected {
+    std::string attack;
+    test_support::ParamOverrides overrides;
+    // Knowledge at p = 0.5, 40 emails per target: ham, unsure, spam.
+    std::vector<std::size_t> knowledge;
+    // Size at 0.5%, 2% and 10% of the inbox: (spam, unsure or spam) each.
+    std::vector<std::size_t> size;
+  };
+  const std::vector<Expected> expected = {
+      {"usenet", {{"dictionary_size", "2000"}}, {2, 5, 5}, {0, 0, 0, 4, 8, 12}},
+      {"ham-labeled", {}, {12, 0, 0}, {0, 0, 0, 0, 0, 0}}};
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    config.threads = threads;
+    for (const Expected& e : expected) {
+      const core::Attack& attack = core::builtin_attack_registry().get(e.attack);
+      const util::Config params = test_support::attack_params(attack, e.overrides);
+      const auto k = run_focused_knowledge(generator(), attack, params, {0.5},
+                                           40, config);
+      ASSERT_EQ(k.size(), 1u);
+      EXPECT_EQ(k[0].targets, 12u);
+      EXPECT_EQ(k[0].control_as_ham, 12u);
+      EXPECT_EQ((std::vector<std::size_t>{k[0].as_ham, k[0].as_unsure,
+                                          k[0].as_spam}),
+                e.knowledge)
+          << e.attack << " at " << threads << " threads";
+
+      const auto s = run_focused_size(generator(), attack, params, 0.5,
+                                      {0.005, 0.02, 0.1}, config);
+      std::vector<std::size_t> got;
+      for (const FocusedSizePoint& p : s) {
+        EXPECT_EQ(p.targets, 12u);
+        got.push_back(p.as_spam);
+        got.push_back(p.as_unsure_or_spam);
+      }
+      EXPECT_EQ(got, e.size) << e.attack << " at " << threads << " threads";
     }
   }
 }

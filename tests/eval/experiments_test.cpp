@@ -215,38 +215,42 @@ TEST(RoniExperiment, SeparatesAttacksFromSpam) {
   }
 }
 
-ThresholdDefenseConfig small_threshold_config() {
-  ThresholdDefenseConfig config;
-  config.base.training_set_size = 600;
-  config.base.folds = 3;
-  config.base.attack_fractions = {0.05};
-  config.base.seed = 321;
+// Figure 5 on the Figure-1 sweep: the paper's two defense variants.
+DictionaryCurveConfig small_threshold_config() {
+  DictionaryCurveConfig config;
+  config.training_set_size = 600;
+  config.folds = 3;
+  config.attack_fractions = {0.05};
+  config.seed = 321;
+  config.threshold_variants = {{0.05, 0.95}, {0.10, 0.90}};
   return config;
 }
 
 TEST(ThresholdExperiment, DefenseKeepsHamOutOfSpamFolder) {
-  auto points = run_threshold_defense_curve(
-      generator(), registry_poison(generator(), "usenet"),
-      small_threshold_config());
+  auto points = run_dictionary_curve(generator(),
+                                     registry_poison(generator(), "usenet"),
+                                     small_threshold_config())
+                    .points;
   ASSERT_EQ(points.size(), 2u);  // control + 5%
   const auto& attacked = points[1];
   // Without the defense the attack ruins ham classification.
-  EXPECT_GT(attacked.no_defense.ham_misclassified_rate(), 0.5);
+  EXPECT_GT(attacked.matrix.ham_misclassified_rate(), 0.5);
   // With it, ham stays out of the spam folder...
   for (const auto& defended : attacked.defended) {
     EXPECT_LT(defended.ham_as_spam_rate(),
-              attacked.no_defense.ham_as_spam_rate() + 1e-9);
+              attacked.matrix.ham_as_spam_rate() + 1e-9);
     EXPECT_LT(defended.ham_misclassified_rate(),
-              attacked.no_defense.ham_misclassified_rate());
+              attacked.matrix.ham_misclassified_rate());
   }
   // ...and the chosen thresholds moved up to chase the shifted scores.
   EXPECT_GT(attacked.mean_thresholds[0].theta1, 0.9);
 }
 
 TEST(ThresholdExperiment, ControlPointLeavesAccuracyIntact) {
-  auto points = run_threshold_defense_curve(
-      generator(), registry_poison(generator(), "usenet"),
-      small_threshold_config());
+  auto points = run_dictionary_curve(generator(),
+                                     registry_poison(generator(), "usenet"),
+                                     small_threshold_config())
+                    .points;
   const auto& control = points[0];
   for (const auto& defended : control.defended) {
     EXPECT_LT(defended.ham_misclassified_rate(), 0.10);

@@ -325,6 +325,52 @@ TEST(ServeFrontend, RetriedAndRejectedTrainsNeverIntern) {
   EXPECT_EQ(frontend.overlay(5)->spam_count(), 2u);
 }
 
+// A Train can also be rejected by a token count. An Untrain of an empty
+// message lowers the class total but no token count, so a word's count can
+// sit near 2^32 - 1 while the class total is back near 0. A Train of that
+// word plus novel words then passes the class-total guard, fails the count
+// check and must intern none of its novel words.
+TEST(ServeFrontend, TrainRejectedByATokenCountNeverInterns) {
+  ServeFrontend frontend(build_base_filter(small_base()), {2, 8});
+  const std::string message = spam_messages(1, 47)[0];
+  const std::uint32_t near_full = std::numeric_limits<std::uint32_t>::max() -
+                                  1000;  // base spam count is far below 1000
+  TrainRequest t;
+  t.user_id = 6;
+  t.request_id = 1;
+  t.copies = near_full;
+  t.message = message;
+  frontend.train(t);
+  UntrainRequest u;
+  u.user_id = 6;
+  u.request_id = 2;
+  u.copies = near_full;
+  u.message = "";
+  frontend.untrain(u);
+  const OverlaySnapshot drained = frontend.overlay(6);
+  ASSERT_NE(drained, nullptr);
+  ASSERT_EQ(drained->spam_count(), 0u);
+
+  spambayes::TokenInterner& interner = spambayes::global_interner();
+  const std::size_t vocabulary_before = interner.size();
+  t.copies = 2000;
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    t.request_id = 100 + i;
+    t.message = with_novel_words(message, "wr", 100 * i, 100);
+    const Response r = frontend.dispatch(Request(t));
+    ASSERT_TRUE(std::holds_alternative<ErrorResponse>(r));
+  }
+  EXPECT_EQ(interner.size(), vocabulary_before);
+  EXPECT_EQ(frontend.overlay(6), drained);
+
+  // A Train that fits still interns its novel words and applies.
+  t.copies = 1;
+  t.request_id = 300;
+  frontend.train(t);
+  EXPECT_GT(interner.size(), vocabulary_before);
+  EXPECT_EQ(frontend.overlay(6)->spam_count(), 1u);
+}
+
 // With unknown_word_prob = 0.8 a never-seen token scores 0.8 and is a
 // discriminator, so dropping it would change scores. The frontend then
 // interns, exactly like the interning paths, and stays bit-identical.
