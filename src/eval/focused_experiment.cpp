@@ -105,9 +105,8 @@ void with_poison_trained(spambayes::Filter& filter, const TargetPoison& poison,
   };
   std::size_t trained = 0;
   for (std::size_t i = 0; i < counts.size(); ++i) {
-    const std::size_t want = std::min(counts[i], poison.count);
-    apply(trained, want, /*train=*/true);
-    trained = std::max(trained, want);
+    apply(trained, counts[i], /*train=*/true);
+    trained = std::max(trained, counts[i]);
     measure(i);
   }
   apply(0, trained, /*train=*/false);

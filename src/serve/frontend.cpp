@@ -147,7 +147,6 @@ MutationResult ServeFrontend::apply(std::uint8_t op, std::uint64_t user_id,
       parsed, spambayes::IdMode::kLookupOnly, nullptr, &novel);
   MutationRequest req;
   req.unknown_token = op != kWalOpTrain && !novel.empty();
-  if (op != kWalOpTrain) novel.clear();
   req.op = op;
   req.user_id = user_id;
   req.request_id = request_id;

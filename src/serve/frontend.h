@@ -38,7 +38,8 @@
 // trained (spambayes::SparseTokenDatabase), so per-user memory and the
 // copy-on-write cost of each Train/Untrain are O(that user's feedback).
 // Classify traffic grows no shared state at all, and neither does Untrain,
-// which only looks tokens up; only Train and replay intern.
+// which only looks tokens up; only a Train the shard applies and replay
+// intern.
 //
 // Durability (PR 7): constructed with a Durability, every Train/Untrain is
 // WAL-logged before it publishes, and recover() (recovery.h) rebuilds the

@@ -140,7 +140,8 @@ class ModelShard {
   /// or published) and IoError when the WAL cannot be written (ditto).
   /// A train's `novel` spellings, those its lookup-only tokenization did
   /// not find, are interned only once the train passes dedup and every
-  /// check, so a retried or rejected train grows no global state.
+  /// check, so a retried or rejected train grows no global state (an
+  /// untrain ignores them).
   MutationResult apply_mutation(std::size_t local, const MutationRequest& req,
                                 const spambayes::TokenIdSet& ids,
                                 const std::vector<std::string>& novel = {})

@@ -332,8 +332,10 @@ TEST(AttackEquivalence, FocusedIdenticalCopyAttacksPinned) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     config.threads = threads;
     for (const Expected& e : expected) {
-      const core::Attack& attack = core::builtin_attack_registry().get(e.attack);
-      const util::Config params = test_support::attack_params(attack, e.overrides);
+      const core::Attack& attack =
+          core::builtin_attack_registry().get(e.attack);
+      const util::Config params =
+          test_support::attack_params(attack, e.overrides);
       const auto k = run_focused_knowledge(generator(), attack, params, {0.5},
                                            40, config);
       ASSERT_EQ(k.size(), 1u);
